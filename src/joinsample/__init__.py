@@ -1,17 +1,16 @@
 """Worst-case-optimal joins, join-size estimators, and uniform join samplers."""
 
 from .components import (
-    ComponentPlan, decompose, sste_estimate, sste_trial, sust_estimate,
+    ComponentPlan, sste_estimate, sste_trial, sust_estimate,
     sust_sample, sust_trial, variance_bound_sste,
 )
 from .conjunctive import (
     ProjectionPlan, estimate_projection_count, sample_projection,
 )
 from .estimators import (
-    DRS, AlleyPlus, EstimateReport, GJSample, Plan, WanderJoin,
-    boost_probabilities, derive_rng, estimate_with_guarantee, generic_card_est,
-    make_strategy, min_degree_order, per_answer_probability,
-    skip_nonjoin_attributes, uniform_sample, variance_bound,
+    DRS, AlleyPlus, EstimateReport, GJSample, Plan, WanderJoin, derive_rng,
+    estimate_with_guarantee, generic_card_est, make_strategy, min_degree_order,
+    per_answer_probability, uniform_sample, variance_bound,
 )
 from .exactweight import (
     WeightIndex, WeightOverflowError, exact_uniform_sample, preprocess_weights,
@@ -27,7 +26,7 @@ from .queries import (
 )
 from .relations import (
     Database, EmptySemijoinError, Interner, OpCounter, Relation, SchemaError,
-    TrieIndex, UnsupportedOrderError, View, build_index, load_relation,
+    TrieIndex, UnsupportedOrderError, View, load_relation,
     load_relation_file, parse_relation_file,
 )
 from .wcoj import brute_force_join, generic_join, generic_join_exists
@@ -40,8 +39,8 @@ __all__ = [
     "Hypergraph", "Interner", "OpCounter", "Plan", "ProjectionPlan", "Query",
     "QueryError", "Relation", "SchemaError", "TrieIndex",
     "UnsupportedOrderError", "View", "WanderJoin", "WeightIndex",
-    "WeightOverflowError", "agm", "boost_probabilities", "brute_force_join",
-    "build_index", "check_ghd", "choose_ghd", "decompose", "derive_rng",
+    "WeightOverflowError", "agm", "brute_force_join", "check_ghd",
+    "choose_ghd", "derive_rng",
     "enumerate_ghds", "estimate_projection_count", "estimate_with_guarantee",
     "exact_uniform_sample", "fhtw", "fractional_edge_cover",
     "generic_card_est", "generic_join", "generic_join_exists", "ghd_card_est",
@@ -49,7 +48,7 @@ __all__ = [
     "load_relation_file", "make_strategy", "min_degree_order",
     "parse_query_text", "parse_relation_file", "per_answer_probability",
     "preprocess_weights", "residual_agm", "rho_star", "sample_projection",
-    "skip_nonjoin_attributes", "sste_estimate", "sste_trial", "sust_estimate", "sust_sample", "sust_trial",
+    "sste_estimate", "sste_trial", "sust_estimate", "sust_sample", "sust_trial",
     "uniform_sample", "validate", "variance_bound", "variance_bound_sste",
     "width",
 ]

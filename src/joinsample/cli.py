@@ -16,12 +16,11 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .components import decompose, sste_estimate, sust_sample, variance_bound_sste
+from .components import ComponentPlan, sste_trial, sust_sample, variance_bound_sste
 from .conjunctive import ProjectionPlan, estimate_projection_count, sample_projection
 from .estimators import (
-    Plan, derive_rng, estimate_with_guarantee, generic_card_est, make_strategy,
+    Plan, estimate_with_guarantee, generic_card_est, make_strategy, seeded_trials,
     uniform_sample, variance_bound,
 )
 from .exactweight import WeightOverflowError, exact_uniform_sample, preprocess_weights
@@ -161,7 +160,7 @@ def cmd_estimate(args) -> int:
         strategy = make_strategy(args.strategy, b=args.b, boost=args.boost)
         rep = estimate_with_guarantee(plan, strategy, args.epsilon, args.delta,
                                       seed=args.seed, mode=args.mode, c=args.c,
-                                      median=args.median, threads=args.threads)
+                                      median=args.median)
     report.update(
         estimate=rep.estimate, trials=rep.trials, mode=rep.mode, ops=db.ops.n)
     for key in ("epsilon", "delta", "successes", "c", "stages", "assumed_out"):
@@ -207,7 +206,7 @@ def _sample_attempts(db, query, args):
                 return None
     elif name == "sust":
         try:
-            cplan = decompose(db, hq)
+            cplan = ComponentPlan(db, hq)
         except QueryError as exc:
             raise CliError(EXIT_VALIDATE, str(exc))
         attrs = tuple(sorted(hq.attributes))
@@ -227,8 +226,7 @@ def cmd_sample(args) -> int:
     attrs, draw = _sample_attempts(db, query, args)
     lines = []
     successes = 0
-    for i in range(args.n):
-        binding = draw(derive_rng(args.seed, "cli-sample", i))
+    for i, binding in enumerate(seeded_trials(draw, args.seed, "cli-sample", 0, args.n)):
         if binding is None:
             lines.append(f"{i}\tfail\t-")
         else:
@@ -286,23 +284,18 @@ def cmd_ghd(args) -> int:
     return 0
 
 
-def _bench_one(db, hq, name, trials, seed, out, threads):
+def _bench_one(db, hq, name, trials, seed, out):
     if name == "sste":
-        cplan = decompose(db, hq)
-        runner = lambda i: sste_estimate(cplan, 1, seed=f"{seed}/bench-sste/{i}")
+        cplan = ComponentPlan(db, hq)
+        trial = lambda rng: sste_trial(cplan, rng)
         bound = variance_bound_sste(cplan, out)
     else:
         plan = Plan(db, hq)
         strategy = make_strategy(name)
-        runner = lambda i: generic_card_est(
-            plan, strategy, rng=derive_rng(seed, f"bench-{name}", i))
+        trial = lambda rng: generic_card_est(plan, strategy, rng=rng)
         bound = variance_bound(plan, strategy, out)
     before = db.ops.n
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(runner, range(trials)))
-    else:
-        values = [runner(i) for i in range(trials)]
+    values = list(seeded_trials(trial, seed, f"bench-{name}", 0, trials))
     spent = db.ops.n - before
     mean = sum(values) / trials
     var = (sum((v - mean) ** 2 for v in values) / (trials - 1)) if trials > 1 else 0.0
@@ -321,8 +314,7 @@ def cmd_bench(args) -> int:
     rows = []
     for name in names:
         try:
-            rows.append(_bench_one(db, hq, name, args.trials, args.seed, out,
-                                   args.threads))
+            rows.append(_bench_one(db, hq, name, args.trials, args.seed, out))
         except QueryError as exc:
             raise CliError(EXIT_VALIDATE, f"{name}: {exc}")
     report = _base_report(args, "bench", digest)
@@ -370,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="never sample attributes private to one relation")
     p.add_argument("--median", action="store_true",
                    help="median of five group means per stage")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_estimate)
 
     p = subs.add_parser("sample", help="uniform samples from the answers")
@@ -394,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="wander,alley,gj,drs")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", default="0")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_bench)
     return parser
 

@@ -10,7 +10,7 @@ only when its kappa-sequence (kappa(x) = (incidence of x, x)) is the lex-min
 among the 2L rotations/reflections, and the count is weighted by the number
 of distinct images, so every dihedral class contributes exactly its size.
 This requires every cycle image of an answer to be an answer too, hence the
-symmetric-relation precondition checked in decompose().
+symmetric-relation precondition checked by ComponentPlan.
 
 sste_trial returns an unbiased estimate of the distinct answer count;
 sust_trial emits canonical class representatives, each with the same
@@ -23,8 +23,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .estimators import Plan, derive_rng
-from .queries import Hypergraph, QueryError, half_integral_cover, relation_sizes
+from .estimators import Plan, seeded_mean
+from .queries import (
+    Hypergraph, QueryError, bound_first_index, half_integral_cover, relation_sizes,
+)
 
 
 @dataclass
@@ -35,6 +37,9 @@ class Component:
 
 
 class ComponentPlan:
+    """Half-integral component plan; raises QueryError when the optimal
+    cover is not half-integral or a cycle precondition fails."""
+
     def __init__(self, db, query: Hypergraph):
         self.db = db
         self.query = query
@@ -105,12 +110,6 @@ def _simple(rel) -> bool:
     return len(set(rel.tuples)) == len(rel.tuples)
 
 
-def decompose(db, query: Hypergraph) -> ComponentPlan:
-    """Half-integral component plan; raises QueryError when the optimal cover
-    is not half-integral or a cycle precondition fails."""
-    return ComponentPlan(db, query)
-
-
 def _dihedral_images(vals):
     L = len(vals)
     out = []
@@ -138,7 +137,7 @@ def _edge_pair_deg(cplan, edge, u, a, w, b) -> int:
 
 def _row_for(cplan, edge, rng):
     """Uniform row of the edge's relation; (assignment fragment, multiplicity)."""
-    idx = cplan.plan.dyn_index(edge, {})
+    idx = bound_first_index(cplan.db, edge, {})
     row = idx.sample_row({}, rng)
     frag = dict(zip(idx.order, row))
     mult = cplan.plan.edge_degree(edge, frag)
@@ -180,7 +179,7 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
     e_back = edges[L - 1]                     # joins w, seq[0]
     e_fwd = edges[L - 2]                      # joins seq[L-2], w
     bound = {seq[0]: a[seq[0]]}
-    view = cplan.plan.dyn_index(e_back, bound).project((w,), bound, dedup=True)
+    view = bound_first_index(cplan.db, e_back, bound).project((w,), bound, dedup=True)
     no = view.size()
     cplan.db.ops.add(max(1, no))
     if no == 0:
@@ -222,7 +221,7 @@ def _star_trial_sste(cplan, comp, rng):
         deg = cplan.plan.edge_degree(e, bound)
         if deg == 0:
             return 0.0, []
-        idx = cplan.plan.dyn_index(e, bound)
+        idx = bound_first_index(cplan.db, e, bound)
         row = idx.sample_row(bound, rng)
         got = dict(zip(idx.order, row))
         mult = cplan.plan.edge_degree(e, got)
@@ -258,10 +257,7 @@ def sste_trial(cplan: ComponentPlan, rng) -> float:
 
 def sste_estimate(cplan: ComponentPlan, n: int, seed=0) -> float:
     """Mean of n independent trials under the stable seeding rule."""
-    total = 0.0
-    for i in range(n):
-        total += sste_trial(cplan, derive_rng(seed, "sste", i))
-    return total / n
+    return seeded_mean(lambda rng: sste_trial(cplan, rng), seed, "sste", 0, n)
 
 
 def variance_bound_sste(cplan: ComponentPlan, out: float) -> float:
@@ -296,7 +292,7 @@ def _cycle_trial_sust(cplan, comp, rng):
     inc0 = cplan.incidence(relname, a[seq[0]])
     if inc0 < thresh:
         bound = {seq[0]: a[seq[0]]}
-        view = cplan.plan.dyn_index(e_back, bound).project((w,), bound, dedup=True)
+        view = bound_first_index(cplan.db, e_back, bound).project((w,), bound, dedup=True)
         no = view.size()
         cplan.db.ops.add(max(1, no))
         if no == 0 or rng.random() >= no / thresh:
@@ -403,7 +399,4 @@ def sust_trial(cplan: ComponentPlan, rng) -> float:
 
 
 def sust_estimate(cplan: ComponentPlan, n: int, seed=0) -> float:
-    total = 0.0
-    for i in range(n):
-        total += sust_trial(cplan, derive_rng(seed, "sust", i))
-    return total / n
+    return seeded_mean(lambda rng: sust_trial(cplan, rng), seed, "sust", 0, n)

@@ -12,11 +12,10 @@ per-candidate probability estimates their number.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .estimators import (
-    EstimateReport, Plan, derive_rng, make_strategy, per_answer_probability,
+    EstimateReport, Plan, count_successes, make_strategy, per_answer_probability,
     uniform_sample,
 )
 from .ghd import project_relation
@@ -126,21 +125,19 @@ def sample_projection(pplan: ProjectionPlan, rng: random.Random):
 
 def estimate_projection_count(db, query, projection=None, c: int = 64,
                               seed=0, strategy: str = "drs") -> EstimateReport:
-    """Unbiased estimate of the number of distinct projection answers."""
+    """Unbiased estimate of the number of distinct projection answers.
+
+    The report's ops are those this call spent, plan building included.
+    """
+    ops0 = db.ops.n
     pplan = ProjectionPlan(db, query, projection, strategy)
     if pplan.empty or pplan.p0 <= 0.0:
         return EstimateReport(0.0, trials=1, mode="success-count",
                               strategy=strategy, successes=0, c=c, seed=seed,
-                              ops=db.ops.n)
-    cap = max(1000, math.ceil(8 * c / pplan.p0))
-    successes = 0
-    trials = 0
-    while trials < cap and successes < c:
-        trials += 1
-        rng = derive_rng(seed, "proj", trials)
-        if sample_projection(pplan, rng) is not None:
-            successes += 1
+                              ops=db.ops.n - ops0)
+    successes, trials, cap = count_successes(
+        lambda rng: sample_projection(pplan, rng), pplan.p0, c, seed, "proj")
     return EstimateReport(successes / (trials * pplan.p0), trials=trials,
                           mode="success-count", strategy=strategy,
                           successes=successes, c=c, seed=seed,
-                          budget_cap=cap, ops=db.ops.n)
+                          budget_cap=cap, ops=db.ops.n - ops0)

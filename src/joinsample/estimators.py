@@ -35,6 +35,7 @@ from .queries import (
     Hypergraph,
     QueryError,
     agm,
+    bound_first_index,
     edge_index,
     fractional_edge_cover,
     relation_sizes,
@@ -82,6 +83,8 @@ class Plan:
         if set(self.elim) != set(query.attributes) - self.skipped:
             raise QueryError("elimination order must cover every sampled attribute")
         pos = {a: i for i, a in enumerate(self.elim)}
+        # DRS, GJ and alley sample rows along these orders: any other order
+        # changes which row a seeded rng picks.
         self.edge_order = {}
         for e in query.edges:
             self.edge_order[e.eid] = tuple(
@@ -99,16 +102,6 @@ class Plan:
     def index_for(self, edge):
         return edge_index(self.db, edge, self.edge_order[edge.eid])
 
-    def dyn_index(self, edge, s):
-        """Index of edge's relation with the attrs bound in s placed first.
-
-        Strategies that bind several attributes at once produce bound sets
-        that are not prefixes of the canonical order; this always is one.
-        """
-        bound = sorted(a for a in edge.attrs if a in s)
-        rest = sorted(a for a in edge.attrs if a not in s)
-        return edge_index(self.db, edge, tuple(bound + rest))
-
     def edge_degree(self, edge, s) -> int:
         """|R_F ⋉ s| restricted to the attrs of F bound in s, memoized.
 
@@ -121,7 +114,7 @@ class Plan:
         hit = self._deg_cache.get(key)
         if hit is not None:
             return hit
-        idx = self.dyn_index(edge, s)
+        idx = bound_first_index(self.db, edge, s)
         _, deg = idx._descend({a: v for a, v in pairs})
         self._deg_cache[key] = deg
         return deg
@@ -210,7 +203,7 @@ class WanderJoin:
         edge = next(e for e in self._edges(plan) if e.attr_set & remaining)
         I = tuple(a for a in sorted(edge.attrs) if a in remaining)
         bound = {a: s[a] for a in edge.attrs if a in s}
-        idx = plan.dyn_index(edge, s)
+        idx = bound_first_index(plan.db, edge, s)
         base = plan.edge_degree(edge, s)
         if base == 0:
             return StepOutcome(I, [])
@@ -344,7 +337,8 @@ class DRS:
         lead = tied[0]
         rdeg_max = deg2[lead.eid] / deg1[lead.eid]
         keep = 0.0 if rdeg_max == 0 else ratio / rdeg_max
-        assert keep <= 1 + 1e-9, f"keep probability {keep} exceeds 1"
+        if keep > 1 + 1e-9:
+            raise RuntimeError(f"keep probability {keep} exceeds 1; is the cover feasible?")
         keep = min(keep, 1.0)
         m = len(tied)
         if self.boost == "none":
@@ -447,8 +441,39 @@ def variance_bound(plan: Plan, strategy, out: float) -> float:
 
 
 def derive_rng(seed, stream, i) -> random.Random:
-    """The per-trial seeding rule: stable across platforms and thread counts."""
+    """The per-trial seeding rule: stable across platforms."""
     return random.Random(f"{seed}/{stream}/{i}")
+
+
+def seeded_trials(trial, seed, stream, lo, hi):
+    """Yield trial(rng) for trial indices lo <= i < hi, each on its own
+    derived stream, so any range of trials reproduces alone."""
+    for i in range(lo, hi):
+        yield trial(derive_rng(seed, stream, i))
+
+
+def seeded_mean(trial, seed, stream, lo, hi) -> float:
+    """Mean of seeded_trials, summed left to right: sum() is compensated on
+    Python 3.12+ and would move the last bits of seeded estimates."""
+    acc = 0.0
+    for x in seeded_trials(trial, seed, stream, lo, hi):
+        acc += x
+    return acc / (hi - lo)
+
+
+def count_successes(attempt, p0, c, seed, stream):
+    """Repeat attempt(rng), trial indices from 1, until c attempts return
+    something other than None or the cap max(1000, ceil(8c/p0)) is spent;
+    the cap makes empty outputs terminate. Returns (successes, trials, cap).
+    """
+    cap = max(1000, math.ceil(8 * c / p0))
+    attempts = seeded_trials(attempt, seed, stream, 1, cap + 1)
+    successes = trials = 0
+    while successes < c and trials < cap:
+        trials += 1
+        if next(attempts) is not None:
+            successes += 1
+    return successes, trials, cap
 
 
 @dataclass
@@ -469,8 +494,7 @@ class EstimateReport:
 
 
 def estimate_with_guarantee(plan: Plan, strategy, epsilon, delta, seed=0,
-                            mode="geometric", c=64, median=False,
-                            threads=1) -> EstimateReport:
+                            mode="geometric", c=64, median=False) -> EstimateReport:
     """(1±epsilon)-with-probability-(1-delta) driver.
 
     geometric: Chebyshev trial counts against a halving assumed output size,
@@ -495,7 +519,7 @@ def estimate_with_guarantee(plan: Plan, strategy, epsilon, delta, seed=0,
     while True:
         n = max(1, math.ceil(variance_bound(plan, strategy, assumed)
                              / (epsilon * epsilon * delta * assumed * assumed)))
-        z = _mean_of_trials(plan, strategy, seed, f"geo{stage}", n, median, threads)
+        z = _mean_of_trials(plan, strategy, seed, f"geo{stage}", n, median)
         total += n
         if z >= assumed:
             return EstimateReport(z, total, mode, strategy.name, epsilon, delta,
@@ -509,64 +533,37 @@ def estimate_with_guarantee(plan: Plan, strategy, epsilon, delta, seed=0,
                                   ops=plan.db.ops.n - ops0, seed=seed)
 
 
-def _mean_of_trials(plan, strategy, seed, stream, n, median, threads):
-    def run_range(lo, hi):
-        acc = 0.0
-        for i in range(lo, hi):
-            acc += generic_card_est(plan, strategy, rng=derive_rng(seed, stream, i))
-        return acc
+def _mean_of_trials(plan, strategy, seed, stream, n, median):
+    def trial(rng):
+        return generic_card_est(plan, strategy, rng=rng)
 
-    if median:
-        # median of 5 group means over the same trial budget
-        groups = 5
-        size = math.ceil(n / groups)
-        means = []
-        for g in range(groups):
-            lo, hi = g * size, min((g + 1) * size, n)
-            if lo >= hi:
-                break
-            means.append(run_range(lo, hi) / (hi - lo))
-        means.sort()
-        return means[len(means) // 2]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunk = math.ceil(n / threads)
-        ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: run_range(*r), ranges))
-        return sum(parts) / n
-    return run_range(0, n) / n
+    if not median:
+        return seeded_mean(trial, seed, stream, 0, n)
+    # median of 5 group means over the same trial budget
+    groups = 5
+    size = math.ceil(n / groups)
+    means = []
+    for g in range(groups):
+        lo, hi = g * size, min((g + 1) * size, n)
+        if lo >= hi:
+            break
+        means.append(seeded_mean(trial, seed, stream, lo, hi))
+    means.sort()
+    return means[len(means) // 2]
 
 
 def _success_count(plan, strategy, seed, c, ops0, epsilon, delta):
-    p0 = per_answer_probability(plan, strategy) if not plan.empty else None
     if plan.empty:
         return EstimateReport(0.0, 1, "success-count", strategy.name,
                               epsilon, delta, successes=0, c=c, seed=seed,
                               ops=plan.db.ops.n - ops0)
-    cap = max(1000, math.ceil(8 * c / p0))
-    successes = 0
-    trials = 0
-    while successes < c and trials < cap:
-        trials += 1
-        if uniform_sample(plan, strategy, derive_rng(seed, "sc", trials)) is not None:
-            successes += 1
+    p0 = per_answer_probability(plan, strategy)
+    successes, trials, cap = count_successes(
+        lambda rng: uniform_sample(plan, strategy, rng), p0, c, seed, "sc")
     est = successes / trials / p0
     return EstimateReport(est, trials, "success-count", strategy.name,
                           epsilon, delta, successes=successes, c=c, seed=seed,
-                          ops=plan.db.ops.n - ops0)
-
-
-def skip_nonjoin_attributes(db, query: Hypergraph, elim_order=None) -> Plan:
-    """Plan variant that never samples attributes private to one edge."""
-    return Plan(db, query, elim_order=elim_order, skip_nonjoin=True)
-
-
-def boost_probabilities(strategy: DRS, mode: str) -> DRS:
-    """Variant of the rejection strategy with raised kept-probabilities."""
-    if not isinstance(strategy, DRS):
-        raise ValueError("probability boosting applies to the rejection strategy")
-    return DRS(boost=mode)
+                          ops=plan.db.ops.n - ops0, budget_cap=cap)
 
 
 def make_strategy(name: str, b: float = 0.5, edge_order=None, boost="none"):

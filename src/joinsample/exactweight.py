@@ -161,5 +161,6 @@ def exact_uniform_sample(widx: WeightIndex, rng: random.Random) -> dict:
             m_product *= widx.mult[c][row]
             s_product *= cum[-1]
     # telescoping: prod(W) == prod(mult) * prod(slot totals), exactly
-    assert w_product == m_product * s_product, "weight telescoping identity failed"
+    if w_product != m_product * s_product:
+        raise RuntimeError("weight telescoping identity failed")
     return assignment

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .estimators import GJSample, Plan, derive_rng, generic_card_est
+from .estimators import GJSample, Plan, generic_card_est, seeded_mean
 from .queries import (
     Hypergraph,
     QueryError,
@@ -309,11 +309,9 @@ def group_by_card_est(db, nq: Hypergraph, group_attrs, strategy, budget,
             runs = max(1, math.ceil(len(nq.attributes) * ragm))
         else:
             runs = budget
-        acc = 0.0
-        for i in range(runs):
-            rng = derive_rng(seed, f"{stream}/{'/'.join(map(str, key))}", i)
-            acc += generic_card_est(plan, strategy, remaining, g, rng)
-        table[key] = acc / runs
+        table[key] = seeded_mean(
+            lambda rng: generic_card_est(plan, strategy, remaining, g, rng),
+            seed, f"{stream}/{'/'.join(map(str, key))}", 0, runs)
     return table
 
 

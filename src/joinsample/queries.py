@@ -64,16 +64,6 @@ class Hypergraph:
     def edges_containing(self, attr):
         return [e for e in self.edges if attr in e.attr_set]
 
-    def projected_edges(self, attrs):
-        """ℰ_{I,π}: (edge, projected attribute tuple) pairs for I-intersecting edges."""
-        attrs = set(attrs)
-        out = []
-        for e in self.edges:
-            inter = tuple(a for a in e.attrs if a in attrs)
-            if inter:
-                out.append((e, inter))
-        return out
-
     def primal_neighbors(self):
         nb = {a: set() for a in self.attributes}
         for e in self.edges:
@@ -112,6 +102,20 @@ def edge_index(db, edge: Edge, order):
     if alias not in db.relations:
         db.relations[alias] = Relation(alias, edge.attrs, rel.tuples, rel.interner)
     return db.index(alias, order)
+
+
+def bound_first_index(db, edge: Edge, bound, nxt=None):
+    """Index of edge's relation whose order puts the attributes bound in
+    `bound` first (sorted), then `nxt` when given, then the rest (sorted).
+
+    Any set of bound attributes is then a prefix of the order, and `nxt`
+    directly follows it, ready for a projection.
+    """
+    attrs = sorted(edge.attrs)
+    front = [a for a in attrs if a in bound]
+    rest = [a for a in attrs if a not in bound and a != nxt]
+    mid = [] if nxt is None else [nxt]
+    return edge_index(db, edge, tuple(front + mid + rest))
 
 
 @dataclass
@@ -259,20 +263,12 @@ def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s) -> float:
     for e in query.edges_touching(remaining):
         x = cover.weights[e.eid]
         bound = {a: s[a] for a in e.attrs if a in s}
-        order = _edge_order(e, bound)
-        deg = edge_index(db, e, order).degree(bound)
+        deg = bound_first_index(db, e, bound).degree(bound)
         if deg == 0:
             return 0.0
         if x:
             log += float(x) * math.log(deg)
     return math.exp(log)
-
-
-def _edge_order(edge: Edge, bound):
-    """Canonical index order: bound attributes (sorted) first, rest sorted."""
-    front = tuple(sorted(a for a in edge.attrs if a in bound))
-    back = tuple(sorted(a for a in edge.attrs if a not in bound))
-    return front + back
 
 
 def half_integral_cover(query: Hypergraph, sizes=None):

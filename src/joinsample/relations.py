@@ -3,13 +3,12 @@
 A Relation is a bag of tuples over named attributes, with values interned to
 integer ids so hot loops compare ints only. A TrieIndex nests the tuples of
 one relation along a fixed attribute order and keeps subtree counts, which
-makes semijoin degrees, positional access, row sampling, and projection views
-cheap (one binary search per level).
+makes semijoin degrees, row sampling, and projection views cheap (one binary
+search per level).
 
 A Database owns the interner, the relations, and a lazy cache of indexes
 keyed by (relation name, attribute order). It also meters query-model
-operations: every degree / access / exist / sample_row / view call bumps a
-counter, which benchmark reports read as the cost measure T. Index builds are
+operations: every degree / exist / sample_row / view call bumps a counter, which benchmark reports read as the cost measure T. Index builds are
 treated as preprocessing and are not metered.
 """
 
@@ -178,12 +177,6 @@ class TrieIndex:
             return 0
         return count
 
-    def access(self, s, attrs, i: int):
-        """i-th distinct value combination of `attrs` under prefix s, ascending."""
-        self._charge()
-        view = self.project(attrs, s, dedup=True)
-        return view.at(i)
-
     def exist(self, row) -> bool:
         """row: mapping binding every schema attribute."""
         self._charge()
@@ -259,18 +252,6 @@ class View:
         else:
             yield from (t for t, _ in self._walk(self.node, len(self.attrs)))
 
-    def at(self, i: int):
-        if self.node is None or i < 0:
-            raise IndexError(i)
-        if len(self.attrs) == 1:
-            if i >= len(self.node.keys):
-                raise IndexError(i)
-            return (self.node.keys[i],)
-        for j, (t, _) in enumerate(self._walk(self.node, len(self.attrs))):
-            if j == i:
-                return t
-        raise IndexError(i)
-
     def sample(self, rng: random.Random):
         self.index._charge()
         if self.node is None or self.size() == 0:
@@ -323,6 +304,10 @@ class Database:
         self.ops = OpCounter()
 
     def load(self, name, schema, rows) -> Relation:
+        """Intern and add a relation. Names may not contain `@` or `[`, which
+        mark the self-join aliases and projections derived from them."""
+        if "@" in name or "[" in name:
+            raise SchemaError(f"relation name {name!r} contains '@' or '['")
         rel = load_relation(name, schema, rows, self.interner)
         self.relations[name] = rel
         return rel
@@ -340,13 +325,6 @@ class Database:
 
     def decode_tuple(self, ids):
         return tuple(self.interner.decode(v) for v in ids)
-
-    def reset_ops(self):
-        self.ops.n = 0
-
-
-def build_index(relation: Relation, order) -> TrieIndex:
-    return TrieIndex(relation, order)
 
 
 def _parse_value(token: str):

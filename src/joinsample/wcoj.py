@@ -12,7 +12,7 @@ once). It exists so everything else can be checked against it.
 
 from __future__ import annotations
 
-from .queries import Hypergraph, edge_index
+from .queries import Hypergraph, bound_first_index
 
 
 def _pick_attr(db, query, remaining, s, order_hint):
@@ -25,18 +25,12 @@ def _pick_attr(db, query, remaining, s, order_hint):
         sizes = []
         for e in query.edges_containing(a):
             bound = {x: s[x] for x in e.attrs if x in s}
-            idx = edge_index(db, e, _edge_order_front(e, bound, a))
+            idx = bound_first_index(db, e, bound, a)
             sizes.append(idx.project((a,), bound, dedup=True).size())
         score = min(sizes)
         if best is None or score < best[0]:
             best = (score, a)
     return best[1]
-
-
-def _edge_order_front(edge, bound, attr):
-    front = tuple(sorted(a for a in edge.attrs if a in bound))
-    rest = tuple(sorted(a for a in edge.attrs if a not in bound and a != attr))
-    return front + (attr,) + rest
 
 
 def generic_join(db, query: Hypergraph, remaining=None, s=None, order_hint=None):
@@ -69,7 +63,7 @@ def _enumerate(db, query, remaining, s, order_hint):
     views = []
     for e in covering:
         bound = {x: s[x] for x in e.attrs if x in s}
-        idx = edge_index(db, e, _edge_order_front(e, bound, attr))
+        idx = bound_first_index(db, e, bound, attr)
         views.append((idx.project((attr,), bound, dedup=True), e, bound))
     views.sort(key=lambda t: (t[0].size(), t[1].eid))
     smallest, _, _ = views[0]

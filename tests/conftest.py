@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from joinsample import (
-    DRS, AlleyPlus, Database, GJSample, Plan, WanderJoin, decompose,
+    DRS, AlleyPlus, ComponentPlan, Database, GJSample, Plan, WanderJoin,
     derive_rng, generic_card_est, parse_query_text, sste_trial, sust_trial,
 )
 
@@ -293,7 +293,7 @@ _STRATEGIES = {
 def make_trial(db, query, key):
     hq = query.hypergraph
     if key in ("sste", "sust"):
-        cp = decompose(db, hq)
+        cp = ComponentPlan(db, hq)
         fn = sste_trial if key == "sste" else sust_trial
         return lambda rng: fn(cp, rng)
     if key == "drs-skip":

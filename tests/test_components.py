@@ -2,7 +2,7 @@ import pytest
 
 from conftest import build, oracle
 from joinsample import (
-    Database, QueryError, decompose, generic_join, sste_estimate, sste_trial,
+    ComponentPlan, Database, QueryError, generic_join, sste_estimate, sste_trial,
     sust_estimate, sust_sample, sust_trial, variance_bound_sste,
 )
 from joinsample.components import _canonical_weight
@@ -20,31 +20,31 @@ def _tri_selfjoin(rows):
 
 def test_decompose_shapes():
     db, query, _ = build("sym-tri")
-    cp = decompose(db, query.hypergraph)
+    cp = ComponentPlan(db, query.hypergraph)
     assert [c.kind for c in cp.components] == ["cycle"]
     assert len(cp.components[0].attrs) == 3
     assert not cp.fallback
 
     db2, q2, _ = build("star3")
-    cp2 = decompose(db2, q2.hypergraph)
+    cp2 = ComponentPlan(db2, q2.hypergraph)
     assert [c.kind for c in cp2.components] == ["star"]
     assert cp2.components[0].attrs[0] == "H"
     assert len(cp2.components[0].edges) == 3
 
     db3, q3, _ = build("sym-mixed")
-    cp3 = decompose(db3, q3.hypergraph)
+    cp3 = ComponentPlan(db3, q3.hypergraph)
     assert sorted(c.kind for c in cp3.components) == ["cycle", "star"]
     assert not cp3.fallback
 
     db4, q4, _ = build("sym-5cyc")
-    cp4 = decompose(db4, q4.hypergraph)
+    cp4 = ComponentPlan(db4, q4.hypergraph)
     assert [c.kind for c in cp4.components] == ["cycle"]
     assert len(cp4.components[0].attrs) == 5
 
 
 def test_decompose_k4_uses_cross_edge_fallback():
     db, query, _ = build("k4")
-    cp = decompose(db, query.hypergraph)
+    cp = ComponentPlan(db, query.hypergraph)
     assert cp.fallback
     assert len(cp.cross_edges) == 4
     assert [c.kind for c in cp.components] == ["star", "star"]
@@ -54,21 +54,21 @@ def test_cycle_preconditions():
     # triangle over three distinct relations: no single-relation cycle
     db, query, _ = build("tri-skew")
     with pytest.raises(QueryError):
-        decompose(db, query.hypergraph)
+        ComponentPlan(db, query.hypergraph)
     # directed (asymmetric) self-join
     db2, hq2 = _tri_selfjoin([(1, 2), (2, 3), (3, 1)])
     with pytest.raises(QueryError):
-        decompose(db2, hq2)
+        ComponentPlan(db2, hq2)
 
 
 def test_sust_sample_guards():
     db, query, _ = build("k4")
-    cp = decompose(db, query.hypergraph)
+    cp = ComponentPlan(db, query.hypergraph)
     with pytest.raises(QueryError):
         sust_sample(cp, derive_rng(0, "k4", 0))
     rows = [(1, 2), (2, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
     db2, hq2 = _tri_selfjoin(rows)
-    cp2 = decompose(db2, hq2)  # symmetric with duplicates: decompose is fine
+    cp2 = ComponentPlan(db2, hq2)  # symmetric with duplicates: the plan is fine
     with pytest.raises(QueryError):
         sust_sample(cp2, derive_rng(0, "dup", 0))
     assert sste_trial(cp2, derive_rng(0, "dup", 1)) >= 0.0
@@ -77,7 +77,7 @@ def test_sust_sample_guards():
 def test_canonical_classes_partition_the_answers():
     db, query, _ = build("sym-tri")
     hq = query.hypergraph
-    cp = decompose(db, hq)
+    cp = ComponentPlan(db, hq)
     seq = cp.components[0].attrs
     out_attrs = tuple(sorted(hq.attributes))
     covered = 0
@@ -95,7 +95,7 @@ def test_canonical_classes_partition_the_answers():
 
 def test_empty_component_plan():
     db, query, _ = build("empty-tri")
-    cp = decompose(db, query.hypergraph)
+    cp = ComponentPlan(db, query.hypergraph)
     assert cp.empty
     rng = derive_rng(0, "empty", 0)
     assert sste_trial(cp, rng) == 0.0
@@ -106,14 +106,14 @@ def test_empty_component_plan():
 
 def test_variance_bound_formula():
     db, query, _ = build("sym-tri")
-    cp = decompose(db, query.hypergraph)
+    cp = ComponentPlan(db, query.hypergraph)
     out = float(oracle("sym-tri").out)
     assert variance_bound_sste(cp, out) == pytest.approx(8 * cp.plan.agm * out)
 
 
 def test_estimates_are_seed_stable():
     db, query, _ = build("sym-tri")
-    cp = decompose(db, query.hypergraph)
+    cp = ComponentPlan(db, query.hypergraph)
     a = sste_estimate(cp, 60, seed=9)
     assert a == sste_estimate(cp, 60, seed=9)
     assert a != sste_estimate(cp, 60, seed=10)

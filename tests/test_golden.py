@@ -188,9 +188,9 @@ COMPONENTS = {'sym-tri/sste': '109.44',
  'sym-mixed/sust': '912.337453358131'}
 
 PROJECTION = {'proj-path/1': ('18.749999999999993', 16, 0, 6, 211),
- 'proj-path/2': ('18.749999999999993', 16, 0, 6, 384),
+ 'proj-path/2': ('18.749999999999993', 16, 0, 6, 173),
  'proj-threecomp/1': ('60.0', 6, 0, 6, 127),
- 'proj-threecomp/2': ('60.0', 6, 0, 6, 226)}
+ 'proj-threecomp/2': ('60.0', 6, 0, 6, 99)}
 
 GHD_CYCLE4 = '24.666666666666668'
 
@@ -364,4 +364,4 @@ CLI = {'estimate/drs': {'command': 'estimate',
                           ['alley', '91.0437', '121.0235', '99.7', '48600.0000'],
                           ['gj', '95.0352', '8381.0462', '56.6', '48875.2207'],
                           ['drs', '36.2039', '52428.8000', '8.2', '391001.7657'],
-                          ['sste', '72.0000', '50451.6923', '12.5', '130333.9219']]]}}
+                          ['sste', '139.2000', '96389.9077', '18.0', '130333.9219']]]}}

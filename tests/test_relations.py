@@ -4,7 +4,7 @@ import pytest
 
 from joinsample import (
     Database, EmptySemijoinError, SchemaError, UnsupportedOrderError,
-    build_index, load_relation, parse_relation_file,
+    TrieIndex, load_relation, parse_relation_file,
 )
 
 
@@ -109,6 +109,6 @@ def test_parse_relation_file_errors():
 
 def test_build_index_standalone():
     rel = load_relation("S", ("X", "Y"), [(1, 2), (1, 3)])
-    idx = build_index(rel, ("Y", "X"))
+    idx = TrieIndex(rel, ("Y", "X"))
     y2 = rel.interner.intern(2)
     assert idx.degree({"Y": y2}) == 1
