@@ -226,7 +226,8 @@ def cmd_sample(args) -> int:
     attrs, draw = _sample_attempts(db, query, args)
     lines = []
     successes = 0
-    for i, binding in enumerate(seeded_trials(draw, args.seed, "cli-sample", 0, args.n)):
+    attempts = seeded_trials(draw, args.seed, "cli-sample", 0, args.n)
+    for i, binding in enumerate(attempts):
         if binding is None:
             lines.append(f"{i}\tfail\t-")
         else:

@@ -179,7 +179,8 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
     e_back = edges[L - 1]                     # joins w, seq[0]
     e_fwd = edges[L - 2]                      # joins seq[L-2], w
     bound = {seq[0]: a[seq[0]]}
-    view = bound_first_index(cplan.db, e_back, bound).project((w,), bound, dedup=True)
+    idx = bound_first_index(cplan.db, e_back, bound)
+    view = idx.project((w,), bound, dedup=True)
     no = view.size()
     cplan.db.ops.add(max(1, no))
     if no == 0:
@@ -292,7 +293,8 @@ def _cycle_trial_sust(cplan, comp, rng):
     inc0 = cplan.incidence(relname, a[seq[0]])
     if inc0 < thresh:
         bound = {seq[0]: a[seq[0]]}
-        view = bound_first_index(cplan.db, e_back, bound).project((w,), bound, dedup=True)
+        idx = bound_first_index(cplan.db, e_back, bound)
+        view = idx.project((w,), bound, dedup=True)
         no = view.size()
         cplan.db.ops.add(max(1, no))
         if no == 0 or rng.random() >= no / thresh:

@@ -338,7 +338,8 @@ class DRS:
         rdeg_max = deg2[lead.eid] / deg1[lead.eid]
         keep = 0.0 if rdeg_max == 0 else ratio / rdeg_max
         if keep > 1 + 1e-9:
-            raise RuntimeError(f"keep probability {keep} exceeds 1; is the cover feasible?")
+            raise RuntimeError(
+                f"keep probability {keep} exceeds 1; is the cover feasible?")
         keep = min(keep, 1.0)
         m = len(tied)
         if self.boost == "none":

@@ -8,8 +8,9 @@ search per level).
 
 A Database owns the interner, the relations, and a lazy cache of indexes
 keyed by (relation name, attribute order). It also meters query-model
-operations: every degree / exist / sample_row / view call bumps a counter, which benchmark reports read as the cost measure T. Index builds are
-treated as preprocessing and are not metered.
+operations: every degree / exist / sample_row / view call bumps a counter,
+which benchmark reports read as the cost measure T. Index builds are treated
+as preprocessing and are not metered.
 """
 
 from __future__ import annotations

@@ -189,6 +189,22 @@ def test_exit_code_load_errors(tmp_path, capsys):
     assert main(["join", dbdir, str(badq)]) == 3
 
 
+def test_exit_code_derived_relation_name(tmp_path, capsys):
+    raw = {"R": (("A", "B"), [(1, 2), (2, 3)]), "R@X,Y": (("X", "Y"), [(9, 9)])}
+    qdoc = {"attributes": ["X", "Y"], "edges": [{"relation": "R", "vars": ["X", "Y"]}]}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main(["join", dbdir, qpath]) == 3
+    assert "R@X,Y" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    for cmd in ("estimate", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, dbdir, qpath, "--threads", "2"])
+        assert exc.value.code == 2
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     raw, _ = CORPUS["skew-pair"]()
     qdoc = {"attributes": ["A", "B"],

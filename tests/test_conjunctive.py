@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import oracles
@@ -104,6 +106,16 @@ def test_estimate_on_fixtures():
         se = (max(p_hat, 1e-12) * (1 - p_hat) / rep.trials) ** 0.5 / \
             ProjectionPlan(db, query).p0
         assert abs(rep.estimate - out) < 4.5 * se + 1e-9, name
+
+
+def test_estimate_reports_ops_spent_and_budget_cap():
+    db, query, _ = build("proj-path")
+    p0 = ProjectionPlan(db, query).p0
+    for _ in range(2):  # the second call finds the projections already built
+        ops0 = db.ops.n
+        rep = estimate_projection_count(db, query, c=8, seed=4)
+        assert rep.ops == db.ops.n - ops0
+        assert rep.budget_cap == max(1000, math.ceil(8 * 8 / p0))
 
 
 def test_estimate_empty_projection_join():

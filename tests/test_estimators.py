@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import build, oracle
@@ -120,8 +122,11 @@ def test_empty_plan_short_circuits():
 
 def test_success_count_report():
     db, plan = _pair_plan()
+    ops0 = db.ops.n
     rep = estimate_with_guarantee(plan, DRS(), 0.3, 0.1, seed=7,
                                   mode="success-count", c=64)
+    assert rep.ops == db.ops.n - ops0
+    assert rep.budget_cap == max(1000, math.ceil(8 * 64 / (1 / 50)))
     assert rep.mode == "success-count"
     assert rep.successes == 64
     assert rep.c == 64

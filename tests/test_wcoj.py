@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
 import oracles
 from conftest import build, decoded_answers, raw_edges
-from joinsample import Database, brute_force_join, generic_join, generic_join_exists
+from joinsample import (
+    Database, SchemaError, brute_force_join, generic_join, generic_join_exists,
+)
 from joinsample.queries import Hypergraph
 
 
@@ -97,3 +101,16 @@ def test_generic_join_randomized():
         got = generic_join(db, hq)
         _, bag = oracles.nested_loop_join(raw, edges)
         assert decoded_answers(db, got) == set(bag), (shape, i)
+
+
+def test_user_relation_cannot_take_a_self_join_alias():
+    # binding R to (X, Y) indexes it under the derived name "R@X,Y";
+    # projections of R are named "R[...]"
+    db = Database()
+    db.load("R", ("A", "B"), [(1, 2), (2, 3)])
+    for name in ("R@X,Y", "R[A,B|A]"):
+        with pytest.raises(SchemaError):
+            db.load(name, ("X", "Y"), [(9, 9)])
+    hq = Hypergraph(("X", "Y"), [(("X", "Y"), "R")])
+    _, bag = brute_force_join(db, hq)
+    assert generic_join(db, hq) == set(bag)
