@@ -126,7 +126,8 @@ def test_success_count_report():
     rep = estimate_with_guarantee(plan, DRS(), 0.3, 0.1, seed=7,
                                   mode="success-count", c=64)
     assert rep.ops == db.ops.n - ops0
-    assert rep.budget_cap == max(1000, math.ceil(8 * 64 / (1 / 50)))
+    p0 = per_answer_probability(plan, DRS())
+    assert rep.budget_cap == max(1000, math.ceil(8 * 64 / p0))
     assert rep.mode == "success-count"
     assert rep.successes == 64
     assert rep.c == 64
