@@ -327,6 +327,20 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _int_at_least(lo):
+    """argparse type: an integer no smaller than lo; anything else is a
+    usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(sub):
     sub.add_argument("db", nargs="?", default=None,
                      help="directory of .rel files (default: $JOINSAMPLE_DB)")
@@ -357,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["geometric", "success-count"])
     p.add_argument("--seed", default="0")
     p.add_argument("--b", type=float, default=0.5, help="Alley sampling ratio")
-    p.add_argument("--c", type=int, default=64, help="success-count target")
+    p.add_argument("--c", type=_int_at_least(1), default=64,
+                   help="success-count target")
     p.add_argument("--boost", default="none", choices=["none", "tie", "any-edge"])
     p.add_argument("--skip-nonjoin", action="store_true",
                    help="never sample attributes private to one relation")
@@ -369,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--strategy", default="drs",
                    choices=["drs", "gj", "exact", "sust"])
-    p.add_argument("-n", type=int, default=10, help="number of attempts")
+    p.add_argument("-n", type=_int_at_least(0), default=10,
+                   help="number of attempts")
     p.add_argument("--seed", default="0")
     p.set_defaults(fn=cmd_sample)
 
@@ -384,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bench", help="compare estimators on one query")
     _add_common(p)
     p.add_argument("--strategies", default="wander,alley,gj,drs")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", default="0")
     p.set_defaults(fn=cmd_bench)
     return parser

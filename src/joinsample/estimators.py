@@ -13,7 +13,9 @@ Strategies:
                 without replacement (b=1 degenerates to exact enumeration).
   GJSample    - explicit probability table proportional to the residual AGM
                 bound of each candidate, with a failure symbol for the
-                leftover mass.
+                leftover mass. The table is built in one pass over the
+                smallest projection's trie node and stops at the drawn
+                candidate; ops are still charged per candidate per edge.
   DRS         - picks an edge uniformly, samples a row from it, and keeps the
                 value only if that edge maximizes the value's relative degree,
                 thinned so the kept probability is the AGM-bound ratio. No
@@ -250,7 +252,23 @@ class AlleyPlus:
 
 
 class GJSample:
-    """Explicit residual-AGM probability table over the smallest projection."""
+    """Explicit residual-AGM probability table over the smallest projection.
+
+    One step projects every edge containing the next attribute a onto a
+    under the current binding s. The smallest projection is Ω. Each view
+    gives deg1 (its row count) and, per candidate c, deg2 (c's supporting
+    rows: the smallest view's own count while walking it, one count_of
+    lookup on the others). The per-edge cover weight, log deg1 and whether
+    the edge keeps attributes after a are resolved once per step. The
+    table is summed in Ω order and stops at the candidate the draw u falls
+    on; later entries cannot change the draw. Probabilities are the same
+    floats agm_ratio computes (same edge order, same expressions).
+
+    The op meter is still charged as for a full table: one degree probe per
+    edge for deg1, one per projection, max(1, |Ω|) for the scan, and one per
+    edge per candidate for deg2. Ops are the paper's cost measure, and the
+    early stop is a shortcut of this implementation, not of the model.
+    """
 
     name = "gj"
     uniform = True
@@ -258,27 +276,49 @@ class GJSample:
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         a = plan.next_attr(remaining)
         edges = plan.e_I[a]
-        deg1 = {e.eid: plan.edge_degree(e, s) for e in edges}
+        views = []
         best = None
         for e in edges:
             bound = {x: s[x] for x in e.attrs if x in s}
             view = plan.index_for(e).project((a,), bound, dedup=True)
+            views.append(view)
             key = (view.size(), e.eid)
             if best is None or key < best[0]:
                 best = (key, view)
-        omega = [c for (c,) in best[1]]
-        plan.db.ops.add(max(1, len(omega)))
-        probs = []
-        for c in omega:
-            s2 = {**s, a: c}
-            deg2 = {e.eid: plan.edge_degree(e, s2) for e in edges}
-            probs.append((c, plan.agm_ratio(remaining, s, a, c, deg1, deg2), deg2))
+        smallest = best[1]
+        n = smallest.size()
+        plan.db.ops.add(len(edges) + max(1, n) + len(edges) * n)
         u = rng.random()
+        if n == 0:
+            return StepOutcome((a,), [])
+        after = set(remaining) | plan.skipped
+        after.discard(a)
+        # deg2 per edge: None reads the walked view's own count
+        lookups = [None if view is smallest else view.count_of for view in views]
+        # per weighted edge, in agm_ratio's order: lookup, float(x), log deg1,
+        # and whether the edge keeps attributes after a
+        weights = plan.cover.weights
+        terms = [(lookup, float(weights[e.eid]), math.log(view.rows()),
+                  bool(e.attr_set & after))
+                 for e, view, lookup in zip(edges, views, lookups) if weights[e.eid]]
         acc = 0.0
-        for c, p, deg2 in probs:
+        for c, own in smallest.items():
+            probe = (c,)
+            log = 0.0
+            for lookup, fx, log1, keeps in terms:
+                d2 = own if lookup is None else lookup(probe)
+                if d2 == 0:
+                    p = 0.0
+                    break
+                if keeps:
+                    log += fx * (math.log(d2) - log1)
+                else:
+                    log -= fx * log1
+            else:
+                p = math.exp(log)
             acc += p
             if u < acc:
-                member = all(d > 0 for d in deg2.values())
+                member = all(lookup is None or lookup(probe) > 0 for lookup in lookups)
                 return StepOutcome((a,), [({a: c}, p, member)])
         return StepOutcome((a,), [])  # failure symbol: leftover mass
 
@@ -467,6 +507,8 @@ def count_successes(attempt, p0, c, seed, stream):
     something other than None or the cap max(1000, ceil(8c/p0)) is spent;
     the cap makes empty outputs terminate. Returns (successes, trials, cap).
     """
+    if c < 1:
+        raise ValueError(f"success target c must be at least 1, got {c}")
     cap = max(1000, math.ceil(8 * c / p0))
     attempts = seeded_trials(attempt, seed, stream, 1, cap + 1)
     successes = trials = 0

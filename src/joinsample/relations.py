@@ -271,6 +271,21 @@ class View:
             node = node.children[i]
         return tuple(out)
 
+    def rows(self) -> int:
+        """|R ⋉ s|: the rows under this view's node, with multiplicity."""
+        return 0 if self.node is None else self.node.cum[-1]
+
+    def items(self):
+        """(value, supporting-row count) of a single-attribute view, in key
+        order; one pass over the node, no lookups."""
+        if len(self.attrs) != 1:
+            raise ValueError(f"items() needs a single-attribute view, got {self.attrs}")
+        node = self.node
+        if node is None:
+            return iter(())
+        cum = node.cum
+        return zip(node.keys, map(int.__sub__, cum[1:], cum))
+
     def count_of(self, value_combo) -> int:
         """Supporting-row count of one I-value (0 when absent)."""
         node = self.node

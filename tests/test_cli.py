@@ -205,6 +205,29 @@ def test_threads_flag_is_gone(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--mode", "success-count", "--c", "0"],
+    ["estimate", "--mode", "success-count", "--c", "-3"],
+    ["estimate", "--c", "0"],
+    ["bench", "--trials", "0"],
+    ["bench", "--trials", "-2"],
+    ["sample", "-n", "-1"],
+])
+def test_usage_error_for_counts_out_of_range(tmp_path, capsys, argv):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], dbdir, qpath, *argv[1:]])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_usage_error_for_projection_count_target(tmp_path, capsys):
+    dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", dbdir, qpath, "--c", "0"])
+    assert exc.value.code == 2
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     raw, _ = CORPUS["skew-pair"]()
     qdoc = {"attributes": ["A", "B"],

@@ -118,6 +118,13 @@ def test_estimate_reports_ops_spent_and_budget_cap():
         assert rep.budget_cap == max(1000, math.ceil(8 * 8 / p0))
 
 
+def test_estimate_rejects_a_target_below_one():
+    db, query, _ = build("proj-path")
+    for c in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            estimate_projection_count(db, query, c=c, seed=4)
+
+
 def test_estimate_empty_projection_join():
     db, query, _ = build("empty-tri")
     rep = estimate_projection_count(db, query, projection=("A", "B"), seed=1)

@@ -136,6 +136,13 @@ def test_success_count_report():
     assert rep.ops > 0
 
 
+def test_success_count_rejects_a_target_below_one():
+    db, plan = _pair_plan()
+    for c in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            estimate_with_guarantee(plan, DRS(), 0.3, 0.1, mode="success-count", c=c)
+
+
 def test_geometric_driver_reports_stages():
     db, plan = _pair_plan()
     rep = estimate_with_guarantee(plan, DRS(), 0.5, 0.25, seed=11)

@@ -77,6 +77,23 @@ def test_project_dedup_and_counts():
     assert view.count_of((a0,)) > 0
 
 
+def test_view_rows_and_items():
+    db = small_db()
+    idx = db.index("R", ("A", "B"))
+    a0, b1, b2 = (db.interner.intern(v) for v in (0, 1, 2))
+    top = idx.project(("A",), {}, dedup=True)
+    assert top.rows() == 4
+    assert list(top.items()) == [(a0, 3), (db.interner.intern(1), 1)]
+    under = idx.project(("B",), {"A": a0}, dedup=True)
+    assert under.rows() == 3
+    assert list(under.items()) == [(b1, 2), (b2, 1)]
+    assert all(under.count_of((v,)) == n for v, n in under.items())
+    absent = idx.project(("B",), {"A": db.interner.intern(7)}, dedup=True)
+    assert absent.rows() == 0 and list(absent.items()) == []
+    with pytest.raises(ValueError):
+        idx.project(("A", "B"), {}, dedup=True).items()
+
+
 def test_view_sample_empty_raises():
     db = Database()
     db.load("R", ("A",), [])
@@ -98,6 +115,18 @@ def test_parse_relation_file():
     name, schema, rows = parse_relation_file("R:A,B\n1,2\n\n3,x\n")
     assert name == "R" and schema == ("A", "B")
     assert rows == [(1, 2), (3, "x")]
+
+
+def test_parse_relation_file_strips_and_reads_integers():
+    # the README's data-format contract: names and values are stripped, and
+    # a value int() accepts is that integer; anything else stays a string
+    text = " R : A , B \n01, 1\n 1 ,+1\n1_0,-0\nx , y z\n"
+    name, schema, rows = parse_relation_file(text)
+    assert name == "R" and schema == ("A", "B")
+    assert rows == [(1, 1), (1, 1), (10, 0), ("x", "y z")]
+    db = Database()
+    db.load(name, schema, rows)
+    assert db.relation("R").tuples[0] == db.relation("R").tuples[1]
 
 
 def test_parse_relation_file_errors():
