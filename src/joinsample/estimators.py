@@ -14,8 +14,8 @@ Strategies:
   GJSample    - explicit probability table proportional to the residual AGM
                 bound of each candidate, with a failure symbol for the
                 leftover mass. The table is built in one pass over the
-                smallest projection's trie node and stops at the drawn
-                candidate; ops are still charged per candidate per edge.
+                smallest projection's trie node, then drawn from; ops are
+                charged per candidate per edge.
   DRS         - picks an edge uniformly, samples a row from it, and keeps the
                 value only if that edge maximizes the value's relative degree,
                 thinned so the kept probability is the AGM-bound ratio. No
@@ -28,6 +28,7 @@ uniform sampler.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -260,14 +261,15 @@ class GJSample:
     rows: the smallest view's own count while walking it, one count_of
     lookup on the others). The per-edge cover weight, log deg1 and whether
     the edge keeps attributes after a are resolved once per step. The
-    table is summed in Ω order and stops at the candidate the draw u falls
-    on; later entries cannot change the draw. Probabilities are the same
-    floats agm_ratio computes (same edge order, same expressions).
+    whole table is summed in Ω order before the draw u picks the first
+    candidate whose running sum exceeds u. Probabilities are the same floats
+    agm_ratio computes (same edge order, same expressions).
 
-    The op meter is still charged as for a full table: one degree probe per
-    edge for deg1, one per projection, max(1, |Ω|) for the scan, and one per
-    edge per candidate for deg2. Ops are the paper's cost measure, and the
-    early stop is a shortcut of this implementation, not of the model.
+    The op meter is charged for the full table: one degree probe per edge
+    for deg1, one per projection, max(1, |Ω|) for the scan, and one per edge
+    per candidate for deg2. The table is not cut short at the drawn
+    candidate, so a step's time follows its ops and does not depend on
+    where u falls.
     """
 
     name = "gj"
@@ -301,6 +303,9 @@ class GJSample:
         terms = [(lookup, float(weights[e.eid]), math.log(view.rows()),
                   bool(e.attr_set & after))
                  for e, view, lookup in zip(edges, views, lookups) if weights[e.eid]]
+        # the whole table, then the draw: a step costs the same whatever u
+        # is, as its ops say
+        cands, probs, cum = [], [], []
         acc = 0.0
         for c, own in smallest.items():
             probe = (c,)
@@ -317,9 +322,14 @@ class GJSample:
             else:
                 p = math.exp(log)
             acc += p
-            if u < acc:
-                member = all(lookup is None or lookup(probe) > 0 for lookup in lookups)
-                return StepOutcome((a,), [({a: c}, p, member)])
+            cands.append(c)
+            probs.append(p)
+            cum.append(acc)
+        i = bisect.bisect_right(cum, u)   # the first candidate with u < acc
+        if i < n:
+            c = cands[i]
+            member = all(lookup is None or lookup((c,)) > 0 for lookup in lookups)
+            return StepOutcome((a,), [({a: c}, probs[i], member)])
         return StepOutcome((a,), [])  # failure symbol: leftover mass
 
 
