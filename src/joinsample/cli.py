@@ -24,7 +24,7 @@ from .estimators import (
     uniform_sample, variance_bound,
 )
 from .exactweight import WeightOverflowError, exact_uniform_sample, preprocess_weights
-from .ghd import GHD, check_ghd, choose_ghd, fhtw, ghd_card_est, rho_star
+from .ghd import GHD, check_ghd, choose_ghd, ghd_card_est, rho_star
 from .queries import QueryError, load_query_file, validate
 from .relations import Database, EmptySemijoinError, SchemaError, load_relation_file
 from .wcoj import brute_force_join, generic_join
@@ -265,17 +265,18 @@ def cmd_ghd(args) -> int:
             raise CliError(EXIT_VALIDATE, f"supplied ghd rejected: {exc}")
         report["source"] = "query file"
     else:
-        width, _ = fhtw(hq)
-        report["fhtw"] = str(width)
         chosen = choose_ghd(db, hq)
         report["source"] = "search"
+    rho = [rho_star(b, hq) for b in chosen.bags]
     rows = []
     for t in chosen.topdown:
         bag = ",".join(sorted(chosen.bags[t]))
         parent = chosen.parent[t]
-        rows.append([t, bag, str(rho_star(chosen.bags[t], hq)),
-                     "-" if parent is None else parent])
-    report["width"] = str(max(rho_star(b, hq) for b in chosen.bags))
+        rows.append([t, bag, str(rho[t]), "-" if parent is None else parent])
+    report["width"] = str(max(rho))
+    if report["source"] == "search":
+        # choose_ghd minimises width first, so the chosen width is fhtw
+        report["fhtw"] = report["width"]
     report["table"] = (["node", "bag", "rho*", "parent"], rows)
     if args.estimate:
         report["estimate"] = ghd_card_est(db, hq, ghd=chosen,
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--estimate", action="store_true",
                    help="also run the decomposition-based count estimate")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_int_at_least(1), default=64)
     p.add_argument("--seed", default="0")
     p.set_defaults(fn=cmd_ghd)
 

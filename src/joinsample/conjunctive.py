@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 
 from .estimators import (
-    EstimateReport, Plan, count_successes, make_strategy, per_answer_probability,
-    uniform_sample,
+    EstimateReport, Plan, check_success_target, count_successes, make_strategy,
+    per_answer_probability, uniform_sample,
 )
-from .ghd import project_relation
+from .ghd import node_query
 from .queries import Hypergraph, QueryError, validate
 from .wcoj import generic_join_exists
 
@@ -40,17 +40,7 @@ class ProjectionPlan:
         self.out = out
         oset = frozenset(out)
 
-        proj_edges = []
-        seen = set()
-        for e in hq.edges:
-            inter = tuple(sorted(e.attr_set & oset))
-            if not inter:
-                continue
-            name = project_relation(db, e, oset)
-            if (inter, name) in seen:
-                continue
-            seen.add((inter, name))
-            proj_edges.append((inter, name))
+        proj_edges = [(e.attrs, e.relation) for e in node_query(db, hq, oset).edges]
 
         # connected components of the projected query
         adj = {a: set() for a in out}
@@ -129,6 +119,7 @@ def estimate_projection_count(db, query, projection=None, c: int = 64,
 
     The report's ops are those this call spent, plan building included.
     """
+    check_success_target(c)
     ops0 = db.ops.n
     pplan = ProjectionPlan(db, query, projection, strategy)
     if pplan.empty or pplan.p0 <= 0.0:

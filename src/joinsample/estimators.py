@@ -512,13 +512,19 @@ def seeded_mean(trial, seed, stream, lo, hi) -> float:
     return acc / (hi - lo)
 
 
+def check_success_target(c) -> None:
+    """Raise unless the success-count target c is at least 1. Both
+    success-count entry points call it before their empty-plan return."""
+    if c < 1:
+        raise ValueError(f"success target c must be at least 1, got {c}")
+
+
 def count_successes(attempt, p0, c, seed, stream):
     """Repeat attempt(rng), trial indices from 1, until c attempts return
     something other than None or the cap max(1000, ceil(8c/p0)) is spent;
     the cap makes empty outputs terminate. Returns (successes, trials, cap).
+    The caller has checked c with check_success_target.
     """
-    if c < 1:
-        raise ValueError(f"success target c must be at least 1, got {c}")
     cap = max(1000, math.ceil(8 * c / p0))
     attempts = seeded_trials(attempt, seed, stream, 1, cap + 1)
     successes = trials = 0
@@ -606,6 +612,7 @@ def _mean_of_trials(plan, strategy, seed, stream, n, median):
 
 
 def _success_count(plan, strategy, seed, c, ops0, epsilon, delta):
+    check_success_target(c)
     if plan.empty:
         return EstimateReport(0.0, 1, "success-count", strategy.name,
                               epsilon, delta, successes=0, c=c, seed=seed,

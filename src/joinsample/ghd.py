@@ -14,14 +14,14 @@ Annotations come from three sources:
   - plain enumeration for the width computation, which never touches data:
     node width is the unweighted fractional edge cover number of the bag.
 
-Widths are exact rationals; the decomposition of minimal width (fhtw) is
-found by enumerating bags that are unions of edge attribute sets and all
-labeled trees over each bag choice.
+Widths are exact rationals. The search takes the decomposition of each of
+the n! vertex elimination orderings of the attributes. Every tree
+decomposition is refined by one of these and rho* never grows on a subset of
+a bag, so the least width found is the fractional hypertree width (fhtw).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +47,9 @@ class GHD:
 
     def __post_init__(self):
         n = len(self.bags)
+        if len(self.tree_edges) != n - 1:
+            raise QueryError(f"decomposition tree on {n} bags needs {n - 1} "
+                             f"edges, got {len(self.tree_edges)}")
         self.adj = {i: set() for i in range(n)}
         for i, j in self.tree_edges:
             self.adj[i].add(j)
@@ -114,63 +117,53 @@ def check_ghd(query: Hypergraph, ghd: GHD) -> None:
         raise QueryError("bags do not cover every attribute")
 
 
-def _trees(n):
-    """All labeled trees on n nodes, as edge lists (Pruefer decoding)."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        edges = []
-        leaves = [i for i in range(n) if deg[i] == 1]
-        heapq.heapify(leaves)
-        for x in seq:
-            lf = heapq.heappop(leaves)
-            edges.append((lf, x))
-            deg[x] -= 1
-            if deg[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.append((u, v))
-        yield edges
+def _elimination_ghd(nbrs, order) -> GHD:
+    """The decomposition one elimination ordering produces.
 
-
-def enumerate_ghds(query: Hypergraph, max_nodes=None):
-    """Distinct valid decompositions with edge-union bags.
-
-    Bags are unions of edge attribute sets, at most one bag per tree node,
-    up to |edges| nodes (or max_nodes). Duplicates by signature are dropped.
+    Eliminating v gives the bag {v} plus v's neighbours in the fill graph,
+    which then become a clique; the bag's parent is the bag of the earliest
+    eliminated of those neighbours, which holds them all. A bag contained in
+    its parent or child is merged into it; children come before parents in
+    the ordering, so one pass in that order leaves no such pair.
     """
-    edge_sets = [e.attr_set for e in query.edges]
-    unions = set()
-    for r in range(1, len(edge_sets) + 1):
-        for combo in itertools.combinations(range(len(edge_sets)), r):
-            unions.add(frozenset().union(*(edge_sets[i] for i in combo)))
-    pool = sorted(unions, key=lambda b: (len(b), tuple(sorted(b))))
-    limit = max_nodes or len(query.edges)
+    pos = {v: i for i, v in enumerate(order)}
+    fill = {v: set(nb) for v, nb in nbrs.items()}
+    bags, parent = {}, {}
+    for v in order:
+        nb = fill.pop(v)
+        for u in nb:
+            fill[u] |= nb
+            fill[u] -= {u, v}
+        bags[v] = frozenset(nb | {v})
+        parent[v] = min(nb, key=pos.__getitem__, default=None)
+    for v in order:
+        p = parent[v]
+        if p is not None and (bags[v] <= bags[p] or bags[p] <= bags[v]):
+            bags[p] |= bags.pop(v)
+            for c in bags:
+                if parent[c] == v:
+                    parent[c] = p
+    keys = sorted(bags, key=lambda v: (len(bags[v]), sorted(bags[v])))
+    index = {v: i for i, v in enumerate(keys)}
+    roots = [v for v in keys if parent[v] is None]
+    tree = [(index[v], index[parent[v]]) for v in keys if parent[v] is not None]
+    tree += [(index[roots[0]], index[r]) for r in roots[1:]]
+    return GHD([bags[v] for v in keys], tree)
+
+
+def enumerate_ghds(query: Hypergraph) -> list:
+    """Distinct decompositions, one per elimination ordering of the
+    attributes; duplicates by signature are dropped. Bags are sorted by
+    (size, sorted attributes) and node 0 is the root."""
+    nbrs = query.primal_neighbors()
     seen = set()
     out = []
-    for r in range(1, limit + 1):
-        for bags in itertools.combinations(pool, r):
-            if not all(any(es <= b for b in bags) for es in edge_sets):
-                continue
-            for tree in _trees(r):
-                ghd = GHD(list(bags), tree)
-                try:
-                    check_ghd(query, ghd)
-                except QueryError:
-                    continue
-                sig = ghd.signature()
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                out.append(ghd)
+    for order in itertools.permutations(sorted(query.attributes)):
+        ghd = _elimination_ghd(nbrs, order)
+        sig = ghd.signature()
+        if sig not in seen:
+            seen.add(sig)
+            out.append(ghd)
     return out
 
 
@@ -194,17 +187,21 @@ def width(ghd: GHD, query: Hypergraph) -> Fraction:
     return max(rho_star(b, query) for b in ghd.bags)
 
 
-def fhtw(query: Hypergraph):
-    """(minimal width over enumerated decompositions, witness GHD)."""
-    best = None
+def _widths(query: Hypergraph):
+    """(width, ghd) for every enumerated decomposition, each distinct bag's
+    rho* computed once."""
+    rho = {}
     for ghd in enumerate_ghds(query):
-        w = width(ghd, query)
-        key = (w, len(ghd.bags), ghd.signature())
-        if best is None or key < best[0]:
-            best = (key, ghd)
-    if best is None:
-        raise QueryError("no decomposition found")
-    return best[0][0], best[1]
+        for b in ghd.bags:
+            if b not in rho:
+                rho[b] = rho_star(b, query)
+        yield max(rho[b] for b in ghd.bags), ghd
+
+
+def fhtw(query: Hypergraph):
+    """(fractional hypertree width, a witness GHD of that width)."""
+    w, _, _, ghd = min((w, len(g.bags), g.signature(), g) for w, g in _widths(query))
+    return w, ghd
 
 
 def join_tree(query: Hypergraph):
@@ -261,22 +258,18 @@ def node_query(db, query: Hypergraph, bag) -> Hypergraph:
     return Hypergraph(sorted(bag), edges)
 
 
-def _node_agm(db, query, bag) -> float:
-    nq = node_query(db, query, bag)
-    plan = Plan(db, nq)
-    return plan.agm
-
-
 def choose_ghd(db, query: Hypergraph) -> GHD:
     """Minimal width first; data sizes only break ties (smallest maximal
     node AGM over projected relations, then fewer nodes, then signature)."""
     best = None
-    for ghd in enumerate_ghds(query):
-        w = width(ghd, query)
+    agm = {}
+    for w, ghd in _widths(query):
         if best is not None and w > best[0][0]:
             continue
-        amax = max(_node_agm(db, query, b) for b in ghd.bags)
-        key = (w, amax, len(ghd.bags), ghd.signature())
+        for b in ghd.bags:
+            if b not in agm:
+                agm[b] = Plan(db, node_query(db, query, b)).agm
+        key = (w, max(agm[b] for b in ghd.bags), len(ghd.bags), ghd.signature())
         if best is None or key < best[0]:
             best = (key, ghd)
     return best[1]
@@ -291,6 +284,8 @@ def group_by_card_est(db, nq: Hypergraph, group_attrs, strategy, budget,
     AGM of the ungrouped part), the schedule behind the stated variance
     bound. Each group consumes its own derived random stream.
     """
+    if budget != "auto" and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     G = tuple(sorted(group_attrs))
     keys = sorted(generic_join(db, nq, remaining=G))
     # group attrs lead the elimination order: they arrive bound, and every

@@ -15,11 +15,7 @@ from __future__ import annotations
 from .queries import Hypergraph, bound_first_index
 
 
-def _pick_attr(db, query, remaining, s, order_hint):
-    if order_hint:
-        for a in order_hint:
-            if a in remaining:
-                return a
+def _pick_attr(db, query, remaining, s):
     best = None
     for a in sorted(remaining):
         sizes = []
@@ -33,7 +29,7 @@ def _pick_attr(db, query, remaining, s, order_hint):
     return best[1]
 
 
-def generic_join(db, query: Hypergraph, remaining=None, s=None, order_hint=None):
+def generic_join(db, query: Hypergraph, remaining=None, s=None):
     """Set of answer tuples over sorted(remaining).
 
     s must already satisfy every edge it fully binds; edges disjoint from
@@ -43,22 +39,22 @@ def generic_join(db, query: Hypergraph, remaining=None, s=None, order_hint=None)
     s = dict(s or {})
     out_attrs = tuple(sorted(remaining))
     results = set()
-    for binding in _enumerate(db, query, remaining, s, order_hint):
+    for binding in _enumerate(db, query, remaining, s):
         results.add(tuple(binding[a] for a in out_attrs))
     return results
 
 
 def generic_join_exists(db, query: Hypergraph, remaining, s) -> bool:
-    for _ in _enumerate(db, query, frozenset(remaining), dict(s), None):
+    for _ in _enumerate(db, query, frozenset(remaining), dict(s)):
         return True
     return False
 
 
-def _enumerate(db, query, remaining, s, order_hint):
+def _enumerate(db, query, remaining, s):
     if not remaining:
         yield s
         return
-    attr = _pick_attr(db, query, remaining, s, order_hint)
+    attr = _pick_attr(db, query, remaining, s)
     covering = query.edges_containing(attr)
     views = []
     for e in covering:
@@ -78,7 +74,7 @@ def _enumerate(db, query, remaining, s, order_hint):
         if not ok:
             continue
         s[attr] = val
-        yield from _enumerate(db, query, sub_remaining, s, order_hint)
+        yield from _enumerate(db, query, sub_remaining, s)
     s.pop(attr, None)
 
 

@@ -161,6 +161,31 @@ def test_ghd_user_supplied_accept_and_reject(tmp_path, capsys):
     assert main(["ghd", dbdir, str(qpath2)]) == 4
 
 
+def test_ghd_tree_with_a_cycle_is_rejected(tmp_path, capsys):
+    raw, _ = CORPUS["tri-skew"]()
+    qdoc = {
+        "attributes": ["A", "B", "C"],
+        "edges": [{"relation": "R", "vars": ["A", "B"]},
+                  {"relation": "S", "vars": ["B", "C"]},
+                  {"relation": "T", "vars": ["A", "C"]}],
+        "ghd": {"bags": [["A", "B"], ["B", "C"], ["A", "C"]],
+                "edges": [[0, 1], [1, 2], [2, 0]]},
+    }
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main(["ghd", dbdir, qpath]) == 4
+    assert main(["ghd", dbdir, qpath, "--estimate"]) == 4
+    assert "needs 2 edges, got 3" in capsys.readouterr().err
+
+
+def test_ghd_search_reports_fhtw_on_cyclic_fixtures(tmp_path, capsys):
+    for name, want in (("sym-5cyc", "2"), ("k4", "2"), ("sym-mixed", "3/2")):
+        (tmp_path / name).mkdir()
+        dbdir, qpath = _fixture_inputs(tmp_path / name, name)
+        assert main(["ghd", dbdir, qpath, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fhtw"] == doc["width"] == want, name
+
+
 def test_bench_table(tmp_path, capsys):
     dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
     argv = ["bench", dbdir, qpath, "--strategies", "wander,drs",
@@ -212,6 +237,8 @@ def test_threads_flag_is_gone(tmp_path, capsys):
     ["bench", "--trials", "0"],
     ["bench", "--trials", "-2"],
     ["sample", "-n", "-1"],
+    ["ghd", "--estimate", "--budget", "0"],
+    ["ghd", "--estimate", "--budget", "-3"],
 ])
 def test_usage_error_for_counts_out_of_range(tmp_path, capsys, argv):
     dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")

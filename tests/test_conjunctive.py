@@ -123,6 +123,11 @@ def test_estimate_rejects_a_target_below_one():
     for c in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             estimate_projection_count(db, query, c=c, seed=4)
+    # an empty projection plan returns early; the target is checked first
+    db, query, _ = build("empty-tri")
+    assert ProjectionPlan(db, query, projection=("B", "C")).empty
+    with pytest.raises(ValueError, match="at least 1"):
+        estimate_projection_count(db, query, projection=("B", "C"), c=-2)
 
 
 def test_estimate_empty_projection_join():

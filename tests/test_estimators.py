@@ -138,9 +138,13 @@ def test_success_count_report():
 
 def test_success_count_rejects_a_target_below_one():
     db, plan = _pair_plan()
-    for c in (0, -3):
-        with pytest.raises(ValueError, match="at least 1"):
-            estimate_with_guarantee(plan, DRS(), 0.3, 0.1, mode="success-count", c=c)
+    db2, query2, _ = build("empty-tri")
+    empty = Plan(db2, query2.hypergraph)
+    assert empty.empty
+    for p in (plan, empty):
+        for c in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                estimate_with_guarantee(p, DRS(), 0.3, 0.1, mode="success-count", c=c)
 
 
 def test_geometric_driver_reports_stages():

@@ -1,13 +1,44 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import build, oracle
+from conftest import CORPUS, build, oracle
 from joinsample import (
-    GHD, GJSample, QueryError, check_ghd, choose_ghd, enumerate_ghds, fhtw,
-    ghd_card_est, join_tree, width,
+    GHD, GJSample, Hypergraph, QueryError, check_ghd, choose_ghd, enumerate_ghds,
+    fhtw, ghd_card_est, join_tree, rho_star, width,
 )
 from joinsample.ghd import group_by_card_est, node_query
+
+# fhtw and the choose_ghd signature ("bags | tree edges") on every fixture.
+# The edge-union search the elimination search replaced gave the same pairs
+# on every fixture it finished; it did not finish sym-5cyc, sym-mixed or k4.
+SEARCH_PINS = {
+    "tri-skew": ("3/2", "ABC |"),
+    "path3": ("1", "AB BC CD | AB-BC BC-CD"),
+    "ternary": ("1", "ABC BCD | ABC-BCD"),
+    "cycle4": ("2", "ABC ACD | ABC-ACD"),
+    "skew-pair": ("1", "AB AC | AB-AC"),
+    "selfjoin-tri": ("3/2", "ABC |"),
+    "empty-tri": ("3/2", "ABC |"),
+    "sym-tri": ("3/2", "ABC |"),
+    "sym-5cyc": ("2", "ABC ACD ADF | ABC-ACD ACD-ADF"),
+    "star3": ("1", "HU HV HW | HU-HV HU-HW"),
+    "star2": ("1", "HU HV | HU-HV"),
+    "sym-mixed": ("3/2", "ABC HU HV | ABC-HU HU-HV"),
+    "k4": ("2", "ABCD |"),
+    "proj-threecomp": ("1", "AB BC DE | AB-BC AB-DE"),
+    "proj-path": ("1", "AB BC CD | AB-BC BC-CD"),
+    "proj-fulltri": ("3/2", "ABC |"),
+    "proj-inside": ("1", "AB BC | AB-BC"),
+    "proj-star": ("1", "HU HV HW | HU-HV HU-HW"),
+}
+
+
+def _sig_text(ghd):
+    bags, edges = ghd.signature()
+    return (" ".join("".join(b) for b in bags) + " | "
+            + " ".join("-".join("".join(b) for b in e) for e in edges)).rstrip()
 
 
 def test_check_ghd_rejections():
@@ -24,6 +55,10 @@ def test_check_ghd_rejections():
         check_ghd(hq2, bad)
     with pytest.raises(QueryError):
         check_ghd(hq2, GHD([frozenset("ABC")], []))
+    # a cycle is not a tree: it would otherwise pass the checks above
+    with pytest.raises(QueryError, match="needs 2 edges, got 3"):
+        GHD([frozenset("AB"), frozenset("BC"), frozenset("AC")],
+            [(0, 1), (1, 2), (2, 0)])
     good = GHD([frozenset("AB"), frozenset("BC"), frozenset("CD")],
                [(0, 1), (1, 2)])
     check_ghd(hq2, good)
@@ -41,11 +76,54 @@ def test_enumerate_contains_edge_per_node_tree():
 def test_fhtw_pins():
     for name, expect in (("path3", Fraction(1)), ("star3", Fraction(1)),
                          ("ternary", Fraction(1)), ("tri-skew", Fraction(3, 2)),
-                         ("cycle4", Fraction(2))):
+                         ("cycle4", Fraction(2)), ("sym-5cyc", Fraction(2)),
+                         ("k4", Fraction(2)), ("sym-mixed", Fraction(3, 2))):
         db, query, _ = build(name)
         w, witness = fhtw(query.hypergraph)
         assert w == expect, name
         assert width(witness, query.hypergraph) == w
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_search_pins(name):
+    db, query, _ = build(name)
+    hq = query.hypergraph
+    w, _ = fhtw(hq)
+    chosen = choose_ghd(db, hq)
+    check_ghd(hq, chosen)
+    assert (str(w), _sig_text(chosen)) == SEARCH_PINS[name]
+    assert width(chosen, hq) == w
+
+
+def test_searched_ghd_estimate_pins():
+    for name, want in (("cycle4", "24.666666666666668"),
+                       ("sym-tri", "181.01933598375618")):
+        db, query, _ = build(name)
+        got = ghd_card_est(db, query.hypergraph, ghd=None, budget=3, seed=7)
+        assert repr(got) == want, name
+
+
+@st.composite
+def _hypergraphs(draw):
+    attrs = "ABCDEF"[:draw(st.integers(1, 6))]
+    edges = draw(st.lists(st.sets(st.sampled_from(attrs), min_size=1),
+                          min_size=1, max_size=5))
+    used = sorted(set().union(*edges))
+    return Hypergraph(used, [(tuple(sorted(e)), f"R{i}")
+                             for i, e in enumerate(edges)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hypergraphs())
+def test_elimination_search_properties(hq):
+    for ghd in enumerate_ghds(hq):
+        check_ghd(hq, ghd)
+    w, witness = fhtw(hq)
+    check_ghd(hq, witness)
+    assert width(witness, hq) == w
+    # width 1 means every bag lies inside one edge: exactly the acyclic case
+    assert (w == 1) == (join_tree(hq) is not None)
+    assert w <= rho_star(hq.attributes, hq)
 
 
 def test_join_tree_only_for_acyclic_queries():
@@ -98,6 +176,14 @@ def test_budget_auto_schedule_runs():
     table = group_by_card_est(db, nq, ("A", "C"), GJSample(), "auto", seed=0)
     assert table
     assert all(v >= 0.0 for v in table.values())
+
+
+def test_budget_below_one_is_rejected():
+    db, query, _ = build("cycle4")
+    nq = node_query(db, query.hypergraph, frozenset("ABC"))
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            group_by_card_est(db, nq, ("A", "C"), GJSample(), budget)
 
 
 def test_ghd_estimate_deterministic_per_seed():

@@ -54,14 +54,6 @@ def test_brute_force_join_keeps_bag_semantics():
     assert set(rows) == got
 
 
-def test_order_hint_does_not_change_answers():
-    db, query, _ = build("ternary")
-    hq = query.hypergraph
-    base = generic_join(db, hq)
-    for hint in (("A", "B", "C", "D"), ("D", "C", "B", "A"), ("B", "D", "A", "C")):
-        assert generic_join(db, hq, order_hint=hint) == base
-
-
 def _random_instance(rng, shape):
     if shape == "path":
         raw = {
