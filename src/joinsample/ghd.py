@@ -35,7 +35,6 @@ from .queries import (
     residual_agm,
     validate,
 )
-from .relations import Relation
 from .wcoj import generic_join
 
 
@@ -229,18 +228,10 @@ def join_tree(query: Hypergraph):
     return GHD(bags, tree, root=index[root])
 
 
-def project_relation(db, edge, attrs) -> str:
-    """Materialize the deduplicated projection of an edge onto bag attrs;
-    returns the derived relation name (cached)."""
-    inter = tuple(sorted(edge.attr_set & set(attrs)))
-    name = f"{edge.relation}[{','.join(edge.attrs)}|{','.join(inter)}]"
-    if name not in db.relations:
-        rel = db.relation(edge.relation)
-        pos = [edge.attrs.index(a) for a in inter]
-        rows = sorted({tuple(t[p] for p in pos) for t in rel.tuples})
-        db.relations[name] = Relation(name, inter, rows, rel.interner)
-        db.ops.add(len(rel))
-    return name
+def project_relation(db, edge, attrs):
+    """Key of the deduplicated projection of an edge onto bag attrs, a
+    derived relation of db (built once)."""
+    return db.projection(edge.relation, edge.attrs, attrs)
 
 
 def node_query(db, query: Hypergraph, bag) -> Hypergraph:

@@ -75,9 +75,10 @@ class Hypergraph:
 def validate(query: Hypergraph, db) -> None:
     """Check every edge binds a known relation of matching arity."""
     for e in query.edges:
-        rel = db.relations.get(e.relation)
-        if rel is None:
-            raise QueryError(f"edge {e.eid} binds unknown relation {e.relation!r}")
+        try:
+            rel = db.relation(e.relation)
+        except KeyError:
+            raise QueryError(f"edge {e.eid} binds unknown relation {e.relation!r}") from None
         if rel.arity != len(e.attrs):
             raise QueryError(
                 f"edge {e.eid}: relation {e.relation!r} has arity {rel.arity}, "
@@ -86,22 +87,9 @@ def validate(query: Hypergraph, db) -> None:
 
 
 def edge_index(db, edge: Edge, order):
-    """TrieIndex over edge's relation, keyed by QUERY attribute names.
-
-    Relation columns map to the edge's attrs positionally. When the names
-    differ (self-joins bind one relation under several attribute tuples), a
-    schema-aliased view sharing the same tuple storage is registered once per
-    (relation, attrs) pair and indexed instead.
-    """
-    from .relations import Relation
-
-    rel = db.relation(edge.relation)
-    if rel.schema == edge.attrs:
-        return db.index(edge.relation, order)
-    alias = f"{edge.relation}@{','.join(edge.attrs)}"
-    if alias not in db.relations:
-        db.relations[alias] = Relation(alias, edge.attrs, rel.tuples, rel.interner)
-    return db.index(alias, order)
+    """TrieIndex over edge's relation, keyed by QUERY attribute names: the
+    relation's columns are named by the edge's attrs, positionally."""
+    return db.index(edge.relation, order, edge.attrs)
 
 
 def bound_first_index(db, edge: Edge, bound, nxt=None):
@@ -426,4 +414,4 @@ def load_query_file(path) -> Query:
 
 
 def relation_sizes(db, query: Hypergraph) -> dict:
-    return {e.eid: len(db.relations[e.relation]) for e in query.edges}
+    return {e.eid: len(db.relation(e.relation)) for e in query.edges}

@@ -6,8 +6,9 @@ one relation along a fixed attribute order and keeps subtree counts, which
 makes semijoin degrees, row sampling, and projection views cheap (one binary
 search per level).
 
-A Database owns the interner, the relations, and a lazy cache of indexes
-keyed by (relation name, attribute order). It also meters query-model
+A Database owns the interner, the loaded relations, the deduplicated
+projections derived from them, and a lazy cache of indexes keyed by
+(relation, column names, attribute order). It also meters query-model
 operations: every degree / exist / sample_row / view call bumps a counter,
 which benchmark reports read as the cost measure T. Index builds are treated
 as preprocessing and are not metered.
@@ -128,19 +129,26 @@ def _build_levels(sorted_tuples, lo, hi, depth, arity):
 
 
 class TrieIndex:
-    """Immutable prefix index over one relation for one attribute order."""
+    """Immutable prefix index over one relation for one attribute order.
 
-    def __init__(self, relation: Relation, order, counter=None):
+    attrs names the relation's columns, positionally (default: its schema),
+    so one relation can be indexed under each attribute tuple a self-join
+    binds it to.
+    """
+
+    def __init__(self, relation: Relation, order, counter=None, attrs=None):
+        attrs = relation.schema if attrs is None else tuple(attrs)
         order = tuple(order)
-        if sorted(order) != sorted(relation.schema):
+        if len(attrs) != relation.arity or sorted(order) != sorted(attrs):
             raise SchemaError(
-                f"order {order} is not a permutation of schema {relation.schema}"
+                f"order {order} is not a permutation of columns {attrs} "
+                f"of {relation.name!r} {relation.schema}"
             )
         self.relation = relation
         self.order = order
         self._pos = {a: i for i, a in enumerate(order)}
         self._counter = counter
-        perm = [relation.schema.index(a) for a in order]
+        perm = [attrs.index(a) for a in order]
         reordered = sorted(tuple(t[p] for p in perm) for t in relation.tuples)
         self.root = _build_levels(reordered, 0, len(reordered), 0, len(order)) \
             if reordered else _Node()
@@ -311,31 +319,52 @@ class OpCounter:
 
 
 class Database:
-    """Shared interner + relations + lazy index cache + operation meter."""
+    """Shared interner + relations + lazy index cache + operation meter.
+
+    `relations` holds what was loaded, by name. Projections derived from
+    them live in a private store under tuple keys, which never equal a
+    loaded name; `relation` and `index` accept both.
+    """
 
     def __init__(self):
         self.interner = Interner()
         self.relations: dict[str, Relation] = {}
+        self._derived: dict[tuple, Relation] = {}
         self._indexes: dict = {}
         self.ops = OpCounter()
 
     def load(self, name, schema, rows) -> Relation:
-        """Intern and add a relation. Names may not contain `@` or `[`, which
-        mark the self-join aliases and projections derived from them."""
-        if "@" in name or "[" in name:
-            raise SchemaError(f"relation name {name!r} contains '@' or '['")
         rel = load_relation(name, schema, rows, self.interner)
         self.relations[name] = rel
         return rel
 
     def relation(self, name) -> Relation:
-        return self.relations[name]
+        """A loaded relation by name, or a derived one by its key."""
+        return self._derived[name] if isinstance(name, tuple) else self.relations[name]
 
-    def index(self, name, order) -> TrieIndex:
-        key = (name, tuple(order))
+    def projection(self, name, attrs, keep) -> tuple:
+        """Key of the deduplicated projection of relation `name`, its columns
+        named `attrs`, onto the attributes in `keep` (schema: those attrs,
+        sorted). Built on first use, which charges one op per source row."""
+        inter = tuple(sorted(set(attrs) & set(keep)))
+        key = (name, tuple(attrs), inter)
+        if key not in self._derived:
+            rel = self.relation(name)
+            pos = [attrs.index(a) for a in inter]
+            rows = sorted({tuple(t[p] for p in pos) for t in rel.tuples})
+            self._derived[key] = Relation(key, inter, rows, rel.interner)
+            self.ops.add(len(rel))
+        return key
+
+    def index(self, name, order, attrs=None) -> TrieIndex:
+        """Index of a relation (by name or derived key) along `order`, its
+        columns named `attrs` (default: its schema, which shares the entry
+        with spelling the schema out)."""
+        attrs = self.relation(name).schema if attrs is None else tuple(attrs)
+        key = (name, attrs, tuple(order))
         idx = self._indexes.get(key)
         if idx is None:
-            idx = TrieIndex(self.relations[name], order, counter=self.ops)
+            idx = TrieIndex(self.relation(name), order, counter=self.ops, attrs=attrs)
             self._indexes[key] = idx
         return idx
 

@@ -93,7 +93,7 @@ def brute_force_join(db, query: Hypergraph):
             rows.append(tuple(binding[a] for a in attrs))
             return
         e = edges[i]
-        rel = db.relations[e.relation]
+        rel = db.relation(e.relation)
         for t in rel.tuples:
             ok = True
             added = []

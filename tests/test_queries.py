@@ -137,9 +137,12 @@ def test_edge_index_shares_backing_storage():
     edge_bc = next(e for e in hq.edges if e.attrs == ("B", "C"))
     idx = edge_index(db, edge_bc, ("B", "C"))
     assert idx.degree({}) == len(db.relation("G"))
-    alias = [n for n in db.relations if n.startswith("G@")]
-    assert alias
-    assert db.relations[alias[0]].tuples is db.relation("G").tuples
+    # G's own rows, indexed under the edge's names; nothing added to db
+    assert idx.relation is db.relation("G")
+    assert idx.order == ("B", "C")
+    assert set(db.relations) == {"G"}
+    # the schema spelled out and left out share one index
+    assert db.index("G", ("X", "Y")) is db.index("G", ("X", "Y"), ("X", "Y"))
 
 
 def test_agm_upper_bounds_output_everywhere():

@@ -141,3 +141,49 @@ def test_build_index_standalone():
     idx = TrieIndex(rel, ("Y", "X"))
     y2 = rel.interner.intern(2)
     assert idx.degree({"Y": y2}) == 1
+
+
+def test_derived_relations_stay_out_of_db_relations():
+    # every layer that indexes a self-join edge or projects one onto a bag
+    # runs on one database; only the loaded relation is listed afterwards
+    from conftest import build
+    from joinsample import (
+        DRS, ComponentPlan, GJSample, Plan, WanderJoin, choose_ghd,
+        estimate_projection_count, generic_card_est, generic_join, ghd_card_est,
+        sste_trial,
+    )
+    from joinsample.estimators import derive_rng
+
+    db, query, raw = build("sym-tri")
+    hq = query.hypergraph
+    assert generic_join(db, hq)
+    plan = Plan(db, hq)
+    for strategy in (WanderJoin(), GJSample(), DRS()):
+        for i in range(20):
+            generic_card_est(plan, strategy, rng=derive_rng(1, strategy.name, i))
+    cplan = ComponentPlan(db, hq)
+    for i in range(20):
+        sste_trial(cplan, derive_rng(1, "sste", i))
+    rep = estimate_projection_count(db, hq, projection=("A", "B"), c=8, seed=1)
+    assert rep.trials > 0
+    choose_ghd(db, hq)
+    assert ghd_card_est(db, hq, budget=2, seed=1) > 0
+    assert set(db.relations) == set(raw) == {"E"}
+
+
+def test_derived_relation_keys_and_column_names():
+    db = small_db()
+    key = db.projection("R", ("C", "D"), {"D"})
+    assert db.ops.n == len(db.relation("R"))
+    assert key not in db.relations and set(db.relations) == {"R"}
+    proj = db.relation(key)
+    assert proj.schema == ("D",)
+    assert sorted(db.decode_tuple(t) for t in proj.tuples) == [(1,), (2,)]
+    ops = db.ops.n
+    assert db.projection("R", ("C", "D"), ("D",)) == key
+    assert db.ops.n == ops and db.relation(key) is proj
+    assert db.index(key, ("D",)).degree({}) == 2
+    idx = db.index("R", ("D", "C"), ("C", "D"))
+    assert idx.order == ("D", "C") and idx.degree({}) == 4
+    with pytest.raises(SchemaError):
+        db.index("R", ("A", "B"), ("C", "D"))

@@ -5,8 +5,10 @@ import pytest
 import oracles
 from conftest import build, decoded_answers, raw_edges
 from joinsample import (
-    Database, SchemaError, brute_force_join, generic_join, generic_join_exists,
+    Database, brute_force_join, estimate_projection_count, generic_join,
+    generic_join_exists,
 )
+from joinsample.ghd import GHD, ghd_card_est
 from joinsample.queries import Hypergraph
 
 
@@ -96,13 +98,20 @@ def test_generic_join_randomized():
 
 
 def test_user_relation_cannot_take_a_self_join_alias():
-    # binding R to (X, Y) indexes it under the derived name "R@X,Y";
-    # projections of R are named "R[...]"
+    # relations named like the old derived names load and stay apart from
+    # the self-join and projection machinery over R
     db = Database()
-    db.load("R", ("A", "B"), [(1, 2), (2, 3)])
-    for name in ("R@X,Y", "R[A,B|A]"):
-        with pytest.raises(SchemaError):
-            db.load(name, ("X", "Y"), [(9, 9)])
-    hq = Hypergraph(("X", "Y"), [(("X", "Y"), "R")])
+    db.load("R", ("A", "B"), [(1, 2), (2, 3), (3, 1), (2, 4)])
+    for name in ("R@X,Y", "R[A,B|A]", "R[X,Y|X]"):
+        db.load(name, ("X", "Y"), [(9, 9)])
+    hq = Hypergraph(("X", "Y", "Z"), [(("X", "Y"), "R"), (("Y", "Z"), "R")])
     _, bag = brute_force_join(db, hq)
     assert generic_join(db, hq) == set(bag)
+    assert len(bag) == 4
+    ghd = GHD([frozenset("XY"), frozenset("YZ")], [(0, 1)])
+    assert ghd_card_est(db, hq, ghd=ghd) == len(set(bag))
+    assert ghd_card_est(db, hq, budget=1) == len(set(bag))
+    proj = {(x,) for x, _, _ in bag}
+    rep = estimate_projection_count(db, hq, projection=("X",), c=64, seed=3)
+    assert rep.estimate == pytest.approx(len(proj))
+    assert set(db.relations) == {"R", "R@X,Y", "R[A,B|A]", "R[X,Y|X]"}
