@@ -16,17 +16,19 @@ from .queries import Hypergraph, bound_first_index
 
 
 def _pick_attr(db, query, remaining, s):
+    """The remaining attribute whose smallest projection among its covering
+    edges is smallest, with those projections as (size, eid, view), sorted."""
     best = None
     for a in sorted(remaining):
-        sizes = []
+        views = []
         for e in query.edges_containing(a):
             bound = {x: s[x] for x in e.attrs if x in s}
-            idx = bound_first_index(db, e, bound, a)
-            sizes.append(idx.project((a,), bound, dedup=True).size())
-        score = min(sizes)
-        if best is None or score < best[0]:
-            best = (score, a)
-    return best[1]
+            view = bound_first_index(db, e, bound, a).project((a,), bound, dedup=True)
+            views.append((view.size(), e.eid, view))
+        views.sort(key=lambda t: t[:2])
+        if best is None or views[0][0] < best[1][0][0]:
+            best = (a, views)
+    return best
 
 
 def generic_join(db, query: Hypergraph, remaining=None, s=None):
@@ -54,27 +56,14 @@ def _enumerate(db, query, remaining, s):
     if not remaining:
         yield s
         return
-    attr = _pick_attr(db, query, remaining, s)
-    covering = query.edges_containing(attr)
-    views = []
-    for e in covering:
-        bound = {x: s[x] for x in e.attrs if x in s}
-        idx = bound_first_index(db, e, bound, attr)
-        views.append((idx.project((attr,), bound, dedup=True), e, bound))
-    views.sort(key=lambda t: (t[0].size(), t[1].eid))
-    smallest, _, _ = views[0]
-    rest = views[1:]
+    attr, views = _pick_attr(db, query, remaining, s)
+    smallest = views[0][2]
+    rest = [view.count_of for _, _, view in views[1:]]
     sub_remaining = remaining - {attr}
     for (val,) in smallest:
-        ok = True
-        for view, e, bound in rest:
-            if view.count_of((val,)) == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        s[attr] = val
-        yield from _enumerate(db, query, sub_remaining, s)
+        if all(count((val,)) for count in rest):
+            s[attr] = val
+            yield from _enumerate(db, query, sub_remaining, s)
     s.pop(attr, None)
 
 

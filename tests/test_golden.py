@@ -187,10 +187,10 @@ COMPONENTS = {'sym-tri/sste': '109.44',
  'sym-mixed/sste': '1102.08',
  'sym-mixed/sust': '912.337453358131'}
 
-PROJECTION = {'proj-path/1': ('18.749999999999993', 16, 0, 6, 211),
- 'proj-path/2': ('18.749999999999993', 16, 0, 6, 173),
- 'proj-threecomp/1': ('60.0', 6, 0, 6, 127),
- 'proj-threecomp/2': ('60.0', 6, 0, 6, 99)}
+PROJECTION = {'proj-path/1': ('18.749999999999993', 16, 0, 6, 193),
+ 'proj-path/2': ('18.749999999999993', 16, 0, 6, 155),
+ 'proj-threecomp/1': ('60.0', 6, 0, 6, 109),
+ 'proj-threecomp/2': ('60.0', 6, 0, 6, 81)}
 
 GHD_CYCLE4 = '24.666666666666668'
 
@@ -252,7 +252,7 @@ CLI = {'estimate/drs': {'command': 'estimate',
                          'estimate': 17.647058823529406,
                          'trials': 17,
                          'mode': 'success-count',
-                         'ops': 228,
+                         'ops': 206,
                          'successes': 6,
                          'c': 6},
  'sample/drs': {'command': 'sample',
@@ -344,7 +344,7 @@ CLI = {'estimate/drs': {'command': 'estimate',
                        'strategy': 'drs',
                        'attempts': 8,
                        'successes': 5,
-                       'ops': 143,
+                       'ops': 126,
                        'rows': ['attempts (i, status, A,C):',
                                 ['0\tfail\t-',
                                  '1\tok\t1,2',
