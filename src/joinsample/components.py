@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .estimators import Plan, seeded_mean
 from .queries import (
@@ -97,6 +98,30 @@ class ComponentPlan:
     def kappa(self, relname, value):
         return (self.incidence(relname, value), value)
 
+    @cached_property
+    def duplicated_relation(self):
+        """Name of the first component relation with duplicate rows, or None."""
+        for comp in self.components:
+            for e in comp.edges:
+                rel = self.db.relation(e.relation)
+                if len(set(rel.tuples)) != len(rel.tuples):
+                    return rel.name
+        return None
+
+    @cached_property
+    def sust_inverse_probability(self) -> float:
+        """1 / P(an attempt returns one fixed class representative)."""
+        inv_p = 1.0
+        for comp in self.components:
+            if comp.kind == "cycle":
+                nrel = len(self.db.relation(comp.edges[0].relation))
+                half = (len(comp.attrs) - 1) // 2
+                inv_p *= (float(nrel) ** half) * 2.0 * math.sqrt(nrel)
+            else:
+                for e in comp.edges:
+                    inv_p *= len(self.db.relation(e.relation))
+        return inv_p
+
 
 def _symmetric(rel) -> bool:
     if rel.arity != 2:
@@ -104,10 +129,6 @@ def _symmetric(rel) -> bool:
     from collections import Counter
     c = Counter(rel.tuples)
     return all(c[(y, x)] == n for (x, y), n in c.items())
-
-
-def _simple(rel) -> bool:
-    return len(set(rel.tuples)) == len(rel.tuples)
 
 
 def _dihedral_images(vals):
@@ -349,11 +370,8 @@ def sust_sample(cplan: ComponentPlan, rng):
         return None
     if cplan.fallback:
         raise QueryError("uniform component sampling needs a support-only query")
-    for comp in cplan.components:
-        for e in comp.edges:
-            rel = cplan.db.relation(e.relation)
-            if not _simple(rel):
-                raise QueryError(f"relation {rel.name!r} has duplicate rows")
+    if cplan.duplicated_relation is not None:
+        raise QueryError(f"relation {cplan.duplicated_relation!r} has duplicate rows")
     out = {}
     for comp in cplan.components:
         if comp.kind == "cycle":
@@ -366,23 +384,6 @@ def sust_sample(cplan: ComponentPlan, rng):
     return out
 
 
-def _sust_inverse_probability(cplan: ComponentPlan) -> float:
-    inv_p = getattr(cplan, "_sust_inv_p", None)
-    if inv_p is not None:
-        return inv_p
-    inv_p = 1.0
-    for comp in cplan.components:
-        if comp.kind == "cycle":
-            nrel = len(cplan.db.relation(comp.edges[0].relation))
-            half = (len(comp.attrs) - 1) // 2
-            inv_p *= (float(nrel) ** half) * 2.0 * math.sqrt(nrel)
-        else:
-            for e in comp.edges:
-                inv_p *= len(cplan.db.relation(e.relation))
-    cplan._sust_inv_p = inv_p
-    return inv_p
-
-
 def sust_trial(cplan: ComponentPlan, rng) -> float:
     """One attempt scored by inverse class probability; unbiased for the
     distinct answer count."""
@@ -391,7 +392,7 @@ def sust_trial(cplan: ComponentPlan, rng) -> float:
     got = sust_sample(cplan, rng)
     if got is None:
         return 0.0
-    payoff = _sust_inverse_probability(cplan)
+    payoff = cplan.sust_inverse_probability
     for comp in cplan.components:
         # a class representative stands for its whole dihedral orbit
         if comp.kind == "cycle":

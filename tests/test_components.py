@@ -74,6 +74,21 @@ def test_sust_sample_guards():
     assert sste_trial(cp2, derive_rng(0, "dup", 1)) >= 0.0
 
 
+def test_sust_duplicate_check_runs_once_at_first_sample():
+    rows = [(1, 2), (2, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+    db, hq = _tri_selfjoin(rows)
+    cp = ComponentPlan(db, hq)
+    assert "duplicated_relation" not in vars(cp)  # not part of plan set-up
+    for i in range(2):
+        with pytest.raises(QueryError, match="duplicate rows"):
+            sust_sample(cp, derive_rng(0, "dup", i))
+    assert vars(cp)["duplicated_relation"] == hq.edges[0].relation
+    db2, query2, _ = build("sym-tri")
+    cp2 = ComponentPlan(db2, query2.hypergraph)
+    sust_trial(cp2, derive_rng(0, "sym", 0))
+    assert vars(cp2)["duplicated_relation"] is None
+
+
 def test_canonical_classes_partition_the_answers():
     db, query, _ = build("sym-tri")
     hq = query.hypergraph
