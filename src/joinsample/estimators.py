@@ -8,7 +8,7 @@ strategy below is an unbiased estimator of the number of distinct answers
 extending the current partial binding.
 
 Strategies:
-  WanderJoin  - walks edges in a fixed order, sampling one row per edge.
+  WanderJoin  - walks the query's edges in order, sampling one row per edge.
   AlleyPlus   - materializes the candidate intersection and keeps a b-fraction
                 without replacement (b=1 degenerates to exact enumeration).
   GJSample    - explicit probability table proportional to the residual AGM
@@ -180,9 +180,9 @@ def min_degree_order(query: Hypergraph):
 
 
 class WanderJoin:
-    """Row-at-a-time walk over a fixed edge order.
+    """Row-at-a-time walk over the query's edges, in eid order.
 
-    Each step takes the first edge in the order that still has unbound
+    Each step takes the first edge that still has unbound
     attributes, samples one of its matching rows, and binds the projection.
     The reported probability is the true value-draw probability (a degree
     ratio), so duplicate rows do not bias the estimate. Edges that become
@@ -193,17 +193,8 @@ class WanderJoin:
     name = "wander"
     uniform = False
 
-    def __init__(self, edge_order=None):
-        self.edge_order = tuple(edge_order) if edge_order is not None else None
-
-    def _edges(self, plan):
-        if self.edge_order is None:
-            return list(plan.query.edges)
-        by_id = {e.eid: e for e in plan.query.edges}
-        return [by_id[i] for i in self.edge_order]
-
     def step(self, plan, remaining, s, rng) -> StepOutcome:
-        edge = next(e for e in self._edges(plan) if e.attr_set & remaining)
+        edge = next(e for e in plan.query.edges if e.attr_set & remaining)
         I = tuple(a for a in sorted(edge.attrs) if a in remaining)
         bound = {a: s[a] for a in edge.attrs if a in s}
         idx = bound_first_index(plan.db, edge, s)
@@ -626,10 +617,10 @@ def _success_count(plan, strategy, seed, c, ops0, epsilon, delta):
                           ops=plan.db.ops.n - ops0, budget_cap=cap)
 
 
-def make_strategy(name: str, b: float = 0.5, edge_order=None, boost="none"):
+def make_strategy(name: str, b: float = 0.5, boost="none"):
     name = name.lower()
     if name == "wander":
-        return WanderJoin(edge_order)
+        return WanderJoin()
     if name == "alley":
         return AlleyPlus(b)
     if name == "gj":
