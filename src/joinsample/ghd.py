@@ -167,15 +167,16 @@ def enumerate_ghds(query: Hypergraph) -> list:
 
 
 def rho_star(attrs, query: Hypergraph) -> Fraction:
-    """Unweighted fractional edge cover number of the bag."""
+    """Unweighted fractional edge cover number of the bag.
+
+    Only the maximal edge projections onto the bag enter the cover LP: with
+    unit sizes, weight on a projection contained in another covers no more
+    than the same weight moved to the larger one.
+    """
     attrs = frozenset(attrs)
-    edges = []
-    seen = set()
-    for e in query.edges:
-        inter = tuple(sorted(e.attr_set & attrs))
-        if inter and inter not in seen:
-            seen.add(inter)
-            edges.append((inter, e.relation))
+    inters = {e.attr_set & attrs: e.relation for e in query.edges if e.attr_set & attrs}
+    edges = [(tuple(sorted(i)), rel) for i, rel in inters.items()
+             if not any(i < j for j in inters)]
     sub = Hypergraph(sorted(attrs), edges)
     sizes = {e.eid: 2 for e in sub.edges}  # constant sizes: objective = sum of x
     cover = fractional_edge_cover(sub, sizes)

@@ -9,6 +9,7 @@ from joinsample import (
     fhtw, ghd_card_est, join_tree, rho_star, width,
 )
 from joinsample.ghd import group_by_card_est, node_query
+from joinsample.queries import fractional_edge_cover
 
 # fhtw and the choose_ghd signature ("bags | tree edges") on every fixture.
 # The edge-union search the elimination search replaced gave the same pairs
@@ -124,6 +125,22 @@ def test_elimination_search_properties(hq):
     # width 1 means every bag lies inside one edge: exactly the acyclic case
     assert (w == 1) == (join_tree(hq) is not None)
     assert w <= rho_star(hq.attributes, hq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hypergraphs(), st.data())
+def test_rho_star_matches_the_unfiltered_cover_lp(hq, data):
+    # rho_star leaves out projections contained in another; the LP over
+    # every distinct projection must give the same optimum
+    bag = data.draw(st.sets(st.sampled_from(hq.attributes), min_size=1))
+    inters = []
+    for e in hq.edges:
+        inter = tuple(sorted(e.attr_set & bag))
+        if inter and inter not in inters:
+            inters.append(inter)
+    full = Hypergraph(sorted(bag), [(i, "R") for i in inters])
+    cover = fractional_edge_cover(full, {e.eid: 2 for e in full.edges})
+    assert rho_star(bag, hq) == cover.rho()
 
 
 def test_join_tree_only_for_acyclic_queries():
