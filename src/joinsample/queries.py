@@ -42,6 +42,8 @@ class Hypergraph:
         self.edges = [
             Edge(i, tuple(attrs), rel) for i, (attrs, rel) in enumerate(edges)
         ]
+        if not self.edges:
+            raise QueryError("query has no edges")
         covered = set()
         for e in self.edges:
             if not e.attrs:

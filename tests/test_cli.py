@@ -214,6 +214,14 @@ def test_exit_code_load_errors(tmp_path, capsys):
     assert main(["join", dbdir, str(badq)]) == 3
 
 
+def test_exit_code_empty_query(tmp_path, capsys):
+    raw = {"R": (("A", "B"), [(1, 2)])}
+    dbdir, qpath = _write_inputs(tmp_path, raw, '{"attributes": [], "edges": []}')
+    for cmd in ("join", "ghd", "estimate"):
+        assert main([cmd, dbdir, qpath]) == 3
+        assert "no edges" in capsys.readouterr().err
+
+
 def test_exit_code_derived_relation_name(tmp_path, capsys):
     # names the package once derived for itself load like any other
     raw = {"R": (("A", "B"), [(1, 2), (2, 3)]), "R@X,Y": (("X", "Y"), [(9, 9)]),

@@ -8,7 +8,7 @@ from joinsample import (
     Plan, QueryError, agm, fractional_edge_cover, half_integral_cover,
     parse_query_text, residual_agm, validate,
 )
-from joinsample.queries import edge_index, relation_sizes
+from joinsample.queries import Hypergraph, edge_index, relation_sizes
 
 
 def test_parse_rejects_bad_documents():
@@ -29,6 +29,14 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(QueryError):
         parse_query_text('{"attributes": ["A"], "edges": ['
                          '{"relation": "R", "vars": ["A"]}], "projection": ["Z"]}')
+
+
+def test_empty_query_is_rejected():
+    for doc in ('{"attributes": [], "edges": []}', '{"attributes": ["A"], "edges": []}'):
+        with pytest.raises(QueryError, match="no edges"):
+            parse_query_text(doc)
+    with pytest.raises(QueryError, match="no edges"):
+        Hypergraph((), [])
 
 
 def test_validate_checks_schema_against_db():
