@@ -129,21 +129,14 @@ def _build_levels(sorted_tuples, lo, hi, depth, arity):
 
 
 class TrieIndex:
-    """Immutable prefix index over one relation for one attribute order.
-
-    attrs names the relation's columns, positionally (default: its schema),
-    so one relation can be indexed under each attribute tuple a self-join
-    binds it to.
-    """
+    """Immutable prefix index over one relation for one attribute order,
+    its columns named positionally by attrs (default: the schema)."""
 
     def __init__(self, relation: Relation, order, counter=None, attrs=None):
         attrs = relation.schema if attrs is None else tuple(attrs)
         order = tuple(order)
         if len(attrs) != relation.arity or sorted(order) != sorted(attrs):
-            raise SchemaError(
-                f"order {order} is not a permutation of columns {attrs} "
-                f"of {relation.name!r} {relation.schema}"
-            )
+            raise SchemaError(f"order {order} is not a permutation of columns {attrs}")
         self.relation = relation
         self.order = order
         self._pos = {a: i for i, a in enumerate(order)}
@@ -321,10 +314,8 @@ class OpCounter:
 class Database:
     """Shared interner + relations + lazy index cache + operation meter.
 
-    `relations` holds what was loaded, by name. Projections derived from
-    them live in a private store under tuple keys, which never equal a
-    loaded name; `relation` and `index` accept both.
-    """
+    `relations` holds only what was loaded, by name; derived projections
+    live under tuple keys, which never equal a loaded name."""
 
     def __init__(self):
         self.interner = Interner()
@@ -343,9 +334,8 @@ class Database:
         return self._derived[name] if isinstance(name, tuple) else self.relations[name]
 
     def projection(self, name, attrs, keep) -> tuple:
-        """Key of the deduplicated projection of relation `name`, its columns
-        named `attrs`, onto the attributes in `keep` (schema: those attrs,
-        sorted). Built on first use, which charges one op per source row."""
+        """Key of the deduplicated projection of relation `name`, columns
+        named `attrs`, onto those in `keep` (sorted); first use charges len(rel)."""
         inter = tuple(sorted(set(attrs) & set(keep)))
         key = (name, tuple(attrs), inter)
         if key not in self._derived:
@@ -357,9 +347,8 @@ class Database:
         return key
 
     def index(self, name, order, attrs=None) -> TrieIndex:
-        """Index of a relation (by name or derived key) along `order`, its
-        columns named `attrs` (default: its schema, which shares the entry
-        with spelling the schema out)."""
+        """Index of a relation (name or derived key) along `order`, columns
+        named `attrs` (default, and same cache entry: the schema)."""
         attrs = self.relation(name).schema if attrs is None else tuple(attrs)
         key = (name, attrs, tuple(order))
         idx = self._indexes.get(key)
