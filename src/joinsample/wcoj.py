@@ -26,9 +26,9 @@ def _pick_attr(db, query, remaining, s):
             view = bound_first_index(db, e, bound, a).project((a,), bound, dedup=True)
             views.append((view.size(), e.eid, view))
         views.sort(key=lambda t: t[:2])
-        if best is None or views[0][0] < best[1][0][0]:
-            best = (a, views)
-    return best
+        if best is None or views[0][0] < best[0]:
+            best = (views[0][0], a, views)
+    return best[1:]
 
 
 def generic_join(db, query: Hypergraph, remaining=None, s=None):

@@ -29,9 +29,6 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(QueryError):
         parse_query_text('{"attributes": ["A"], "edges": ['
                          '{"relation": "R", "vars": ["A"]}], "projection": ["Z"]}')
-
-
-def test_empty_query_is_rejected():
     for doc in ('{"attributes": [], "edges": []}', '{"attributes": ["A"], "edges": []}'):
         with pytest.raises(QueryError, match="no edges"):
             parse_query_text(doc)
