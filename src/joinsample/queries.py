@@ -1,15 +1,26 @@
 """Join queries as hypergraphs, with exact fractional edge covers.
 
 The cover LP (minimize Σ x_F·log|R_F| subject to Σ_{F∋v} x_F ≥ 1 and
-0 ≤ x_F ≤ 1) is solved exactly over rationals by enumerating basic feasible
-solutions; queries are tiny, so the polytope has few vertices. Objectives are
-compared without floats by raising the integer sizes to L·x_F powers (L = lcm
-of the exponent denominators) and comparing the resulting big integers, so
-tie-breaking is deterministic: among optima, the lexicographically smallest
-weight vector wins.
+x_F ≥ 0) is solved exactly over rationals by enumerating basic feasible
+solutions; queries are tiny, so the polyhedron has few vertices. Objectives
+are compared without floats by raising the integer sizes to L·x_F powers
+(L = lcm of the exponent denominators) and comparing the resulting big
+integers, so tie-breaking is deterministic: among optima, the
+lexicographically smallest weight vector wins.
 
-AGM values are kept as a float in the log domain plus the exact factored form.
-Residual AGM products plug semijoin degrees into the same fixed cover.
+No x_F ≤ 1 rows are needed: costs log|R_F| are ≥ 0, so lowering a weight
+above 1 to 1 keeps a cover feasible at no higher cost. The lexicographically
+smallest optimum is a vertex with every weight ≤ 1, hence also the
+lexicographically smallest optimum of the boxed LP.
+
+For binary edges that vertex is half-integral with cycle/star support: its
+½-weights form vertex-disjoint odd cycles of tight nodes, which no other
+positive edge touches, and every weight-1 edge has an endpoint it alone
+covers (else lowering it gives a lexicographically smaller optimum), so the
+weight-1 edges form stars.
+
+AGM values are kept as a float in the log domain. Residual AGM products plug
+semijoin degrees into the same fixed cover.
 """
 
 from __future__ import annotations
@@ -127,7 +138,6 @@ class Cover:
 @dataclass
 class AgmValue:
     log: float
-    factors: tuple  # ((size, Fraction exponent), ...)
 
     @property
     def value(self) -> float:
@@ -162,10 +172,10 @@ def _compare_objectives(sizes_by_eid, wa, wb):
 def fractional_edge_cover(query: Hypergraph, sizes) -> Cover:
     """Exact optimal cover minimizing Π |R_F|^{x_F} (sizes keyed by eid).
 
-    Enumerates basic feasible solutions: every LP vertex is the unique
-    solution of m tight constraints drawn from the cover rows and the box
-    rows. Deterministic tie-break: lexicographically smallest weight vector
-    (by eid) among optima.
+    Enumerates basic feasible solutions: every vertex is the unique solution
+    of m tight rows drawn from the cover rows and the rows x_F = 0 (no
+    x_F = 1 rows; see the module docstring). Deterministic tie-break:
+    lexicographically smallest weight vector (by eid) among optima.
     """
     m = len(query.edges)
     sizes_by_eid = {e.eid: int(sizes[e.eid]) for e in query.edges}
@@ -179,28 +189,14 @@ def fractional_edge_cover(query: Hypergraph, sizes) -> Cover:
     for j in range(m):
         coeffs = [0] * m
         coeffs[j] = 1
-        rows.append((list(coeffs), Fraction(0)))  # x_j = 0 candidate
-        rows.append((list(coeffs), Fraction(1)))  # x_j = 1 candidate
+        rows.append((coeffs, Fraction(0)))
 
-    nattrs = len(query.attributes)
-    box_var = {nattrs + 2 * j + b: j for j in range(m) for b in (0, 1)}
     best = None
-    seen = set()
     for combo in itertools.combinations(range(len(rows)), m):
-        vars_hit = [box_var[i] for i in combo if i in box_var]
-        if len(vars_hit) != len(set(vars_hit)):
-            continue  # both box rows of one variable: parallel, singular
         sol = _solve_exact([rows[i] for i in combo], m)
         if sol is None:
             continue
-        key = tuple(sol)
-        if key in seen:
-            continue
-        seen.add(key)
-        if any(x < 0 or x > 1 for x in sol):
-            continue
-        weights = {e.eid: sol[j] for j, e in enumerate(query.edges)}
-        cand = Cover(weights)
+        cand = Cover({e.eid: sol[j] for j, e in enumerate(query.edges)})
         if not cand.feasible(query):
             continue
         if best is None:
@@ -237,13 +233,10 @@ def _solve_exact(tight_rows, m):
 
 def agm(cover: Cover, sizes) -> AgmValue:
     log = 0.0
-    factors = []
     for eid, x in sorted(cover.weights.items()):
-        n = int(sizes[eid])
-        factors.append((n, x))
         if x:
-            log += float(x) * math.log(n)
-    return AgmValue(log, tuple(factors))
+            log += float(x) * math.log(int(sizes[eid]))
+    return AgmValue(log)
 
 
 def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s) -> float:
@@ -267,33 +260,19 @@ def half_integral_cover(query: Hypergraph, sizes=None):
 
     Only defined for binary edges. Returns (Cover, components) where each
     component is ("cycle", [attr cycle sequence], [eids in cycle order]) or
-    ("star", center attr, [eids]).
+    ("star", center attr, [eids]). The cover is fractional_edge_cover's,
+    which for binary edges already has this shape (see the module docstring).
     """
     for e in query.edges:
         if len(e.attrs) != 2:
             raise QueryError(f"edge {e.eid} is not binary")
     if sizes is None:
         sizes = {e.eid: 2 for e in query.edges}
-    sizes_by_eid = {e.eid: int(sizes[e.eid]) for e in query.edges}
-
-    general = fractional_edge_cover(query, sizes_by_eid)
-    levels = (Fraction(0), Fraction(1, 2), Fraction(1))
-    best = None
-    for assignment in itertools.product(levels, repeat=len(query.edges)):
-        weights = {e.eid: assignment[i] for i, e in enumerate(query.edges)}
-        cand = Cover(weights)
-        if not cand.feasible(query):
-            continue
-        if _compare_objectives(sizes_by_eid, cand.weights, general.weights) != 0:
-            continue
-        comps = _support_components(query, cand)
-        if comps is None:
-            continue
-        if best is None or _lex_key(cand) < _lex_key(best[0]):
-            best = (cand, comps)
-    if best is None:
+    cover = fractional_edge_cover(query, sizes)
+    comps = _support_components(query, cover)
+    if comps is None:
         raise QueryError("no half-integral optimum with cycle/star support (unexpected)")
-    return best
+    return cover, comps
 
 
 def _support_components(query: Hypergraph, cover: Cover):

@@ -111,8 +111,9 @@ def exact_cover_vertex(edge_attrs, sizes):
     """Minimal fractional edge cover by rational vertex enumeration.
 
     Returns the optimal weight list (Fractions, one per edge) minimizing
-    prod(sizes**x); ties broken arbitrarily. None when an edge with size 0
-    makes the bound collapse to zero (caller handles separately).
+    prod(sizes**x) over 0 <= x <= 1; among optima, the lexicographically
+    smallest list. None when an edge with size 0 makes the bound collapse
+    to zero (caller handles separately).
     """
     if any(s == 0 for s in sizes):
         return None
@@ -140,10 +141,89 @@ def exact_cover_vertex(edge_attrs, sizes):
         x = _solve_fraction(rows, rhs)
         if x is None or not feasible(x):
             continue
-        if best is None or _agm_cmp(x, best, sizes) < 0:
+        if best is None:
+            best = x
+            continue
+        cmp = _agm_cmp(x, best, sizes)
+        if cmp < 0 or (cmp == 0 and x < best):
             best = x
     assert best is not None
     return best
+
+
+def half_integral_reference(edge_attrs, sizes):
+    """Optimal cover in {0, 1/2, 1}^m whose support splits into odd cycles
+    of 1/2-edges and stars of 1-edges, by trying all 3^m weight lists.
+
+    edge_attrs: one attribute pair per edge. Returns (weights, components)
+    for the lexicographically smallest such optimum, or None. A component
+    is ("cycle", attrs walked from the smallest one, edge indexes in walk
+    order) or ("star", centre, sorted edge indexes); at each step the walk
+    takes the unused edge with the smallest (next attribute, index). The
+    components are ordered by smallest attribute (cycles) or centre (stars).
+    """
+    m = len(edge_attrs)
+    attrs = sorted({a for ats in edge_attrs for a in ats})
+    opt = exact_cover_vertex([set(ats) for ats in edge_attrs], sizes)
+    levels = (Fraction(0), Fraction(1, 2), Fraction(1))
+    # product() yields the weight lists in lexicographic order
+    for x in itertools.product(levels, repeat=m):
+        x = list(x)
+        if any(sum(v for v, ats in zip(x, edge_attrs) if a in ats) < 1
+               for a in attrs):
+            continue
+        if _agm_cmp(x, opt, sizes) != 0:
+            continue
+        comps = _cycles_and_stars(edge_attrs, x)
+        if comps is not None:
+            return x, comps
+    return None
+
+
+def _cycles_and_stars(edge_attrs, x):
+    left = {j for j, v in enumerate(x) if v}
+    comps = []
+    while left:
+        group = {min(left)}
+        seen = set(edge_attrs[min(left)])
+        while True:
+            more = {k for k in left - group if seen & set(edge_attrs[k])}
+            if not more:
+                break
+            group |= more
+            for k in more:
+                seen |= set(edge_attrs[k])
+        left -= group
+        ws = {x[k] for k in group}
+        if ws == {Fraction(1, 2)}:
+            odd = len(group) % 2 == 1 and len(group) == len(seen)
+            if not odd or any(sum(a in edge_attrs[k] for k in group) != 2
+                              for a in seen):
+                return None
+            start = cur = min(seen)
+            walk, used = [start], []
+            while True:
+                k = min((k for k in group - set(used) if cur in edge_attrs[k]),
+                        key=lambda k: (_other(edge_attrs[k], cur), k))
+                used.append(k)
+                cur = _other(edge_attrs[k], cur)
+                if cur == start:
+                    break
+                walk.append(cur)
+            comps.append(("cycle", walk, used))
+        elif ws == {Fraction(1)}:
+            common = set.intersection(*(set(edge_attrs[k]) for k in group))
+            if not common:
+                return None
+            comps.append(("star", min(common), sorted(group)))
+        else:
+            return None
+    comps.sort(key=lambda c: c[1][0] if c[0] == "cycle" else c[1])
+    return comps
+
+
+def _other(pair, a):
+    return pair[1] if pair[0] == a else pair[0]
 
 
 def agm_float(x, sizes) -> float:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import build, raw_edges
@@ -128,6 +129,43 @@ def test_half_integral_cover_shapes():
     hq3 = q3.hypergraph
     _, comps3 = half_integral_cover(hq3, relation_sizes(db3, hq3))
     assert sorted(c[0] for c in comps3) == ["cycle", "star"]
+
+
+@st.composite
+def _queries_with_sizes(draw, min_arity, max_arity):
+    attrs = "ABCDEF"[:draw(st.integers(max(2, min_arity), 6))]
+    edges = draw(st.lists(
+        st.lists(st.sampled_from(attrs), min_size=min_arity,
+                 max_size=max_arity, unique=True),
+        min_size=1, max_size=6))
+    size = st.sampled_from([1, 2, 3, 4, 8, 9, 16, 27])
+    if draw(st.booleans()):
+        sizes = [draw(size)] * len(edges)
+    else:
+        sizes = [draw(size) for _ in edges]
+    used = sorted(set().union(*map(set, edges)))
+    hq = Hypergraph(used, [(tuple(e), f"R{i}") for i, e in enumerate(edges)])
+    return hq, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_queries_with_sizes(1, 3))
+def test_cover_equals_the_boxed_vertex_oracle(case):
+    hq, sizes = case
+    cover = fractional_edge_cover(hq, dict(enumerate(sizes)))
+    ref = oracles.exact_cover_vertex([set(e.attrs) for e in hq.edges], sizes)
+    assert [cover.weights[e.eid] for e in hq.edges] == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(_queries_with_sizes(2, 2))
+def test_half_integral_cover_equals_the_3m_reference(case):
+    hq, sizes = case
+    cover, comps = half_integral_cover(hq, dict(enumerate(sizes)))
+    weights, ref_comps = oracles.half_integral_reference(
+        [e.attrs for e in hq.edges], sizes)
+    assert [cover.weights[e.eid] for e in hq.edges] == weights
+    assert comps == ref_comps
 
 
 def test_half_integral_cover_requires_binary_edges():
