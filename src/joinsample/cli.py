@@ -328,18 +328,25 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _int_at_least(lo):
-    """argparse type: an integer no smaller than lo; anything else is a
-    usage error (exit 2)."""
+def _ranged(convert, ok, want):
+    """argparse type: convert(text), which must satisfy ok; anything else,
+    nan included, is a usage error (exit 2)."""
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
         return value
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
     return parse
+
+
+def _int_at_least(lo):
+    return _ranged(int, lambda v: v >= lo, f"at least {lo}")
+
+
+def _unit_fraction(closed):
+    return _ranged(float, lambda v: 0 < v < 1 or (closed and v == 1),
+                   "in (0, 1]" if closed else "in (0, 1)")
 
 
 def _add_common(sub):
@@ -366,12 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--strategy", default="drs",
                    choices=["wander", "alley", "gj", "drs"])
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_unit_fraction(False), default=0.5)
+    p.add_argument("--delta", type=_unit_fraction(False), default=0.1)
     p.add_argument("--mode", default="geometric",
                    choices=["geometric", "success-count"])
     p.add_argument("--seed", default="0")
-    p.add_argument("--b", type=float, default=0.5, help="Alley sampling ratio")
+    p.add_argument("--b", type=_unit_fraction(True), default=0.5,
+                   help="Alley sampling ratio")
     p.add_argument("--c", type=_int_at_least(1), default=64,
                    help="success-count target")
     p.add_argument("--boost", default="none", choices=["none", "tie", "any-edge"])

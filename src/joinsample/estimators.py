@@ -51,7 +51,6 @@ class StepOutcome:
     attrs: tuple
     samples: list  # (fragment dict, probability, membership flag)
     k: int = 1
-    without_replacement: bool = False
 
 
 class Plan:
@@ -235,12 +234,12 @@ class AlleyPlus:
         omega = [c for (c,) in smallest if all(v.count_of((c,)) for v in rest)]
         n = len(omega)
         if n == 0:
-            return StepOutcome((a,), [], k=1, without_replacement=True)
+            return StepOutcome((a,), [])
         k = math.ceil(self.b * n)
         chosen = omega if k == n else rng.sample(omega, k)
         p = 1.0 / n
         samples = [({a: c}, p, True) for c in chosen]
-        return StepOutcome((a,), samples, k=k, without_replacement=True)
+        return StepOutcome((a,), samples, k=k)
 
 
 class GJSample:
@@ -429,11 +428,11 @@ def uniform_sample(plan: Plan, strategy, rng):
     edge-choice factor for the rejection strategy).
     """
     if not getattr(strategy, "uniform", False):
-        raise ValueError(f"{strategy.name} does not support uniform sampling")
+        raise QueryError(f"{strategy.name} does not support uniform sampling")
     if getattr(strategy, "boost", "none") != "none":
-        raise ValueError("boosted kept-probabilities are not answer-uniform")
+        raise QueryError("boosted kept-probabilities are not answer-uniform")
     if plan.skipped:
-        raise ValueError("uniform sampling needs the unskipped plan")
+        raise QueryError("uniform sampling needs the unskipped plan")
     if plan.empty:
         return None
     remaining = set(plan.elim)
@@ -459,7 +458,7 @@ def per_answer_probability(plan: Plan, strategy) -> float:
         for a in plan.elim:
             factor /= len(plan.e_I[a])
         return factor / plan.agm
-    raise ValueError(f"no closed-form success probability for {strategy.name}")
+    raise QueryError(f"no closed-form success probability for {strategy.name}")
 
 
 def variance_bound(plan: Plan, strategy, out: float) -> float:

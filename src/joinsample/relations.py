@@ -139,7 +139,6 @@ class TrieIndex:
             raise SchemaError(f"order {order} is not a permutation of columns {attrs}")
         self.relation = relation
         self.order = order
-        self._pos = {a: i for i, a in enumerate(order)}
         self._counter = counter
         perm = [attrs.index(a) for a in order]
         reordered = sorted(tuple(t[p] for p in perm) for t in relation.tuples)
@@ -325,6 +324,9 @@ class Database:
         self.ops = OpCounter()
 
     def load(self, name, schema, rows) -> Relation:
+        """Load rows as relation `name`; SchemaError if the name is taken."""
+        if name in self.relations:
+            raise SchemaError(f"relation {name!r} is already loaded")
         rel = load_relation(name, schema, rows, self.interner)
         self.relations[name] = rel
         return rel

@@ -220,6 +220,14 @@ def test_exit_code_load_errors(tmp_path, capsys):
         assert "no edges" in capsys.readouterr().err
 
 
+def test_exit_code_relation_name_declared_twice(tmp_path, capsys):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    (tmp_path / "db" / "S.rel").write_text("R:A,B\n9,9\n")
+    capsys.readouterr()
+    assert main(["join", dbdir, qpath]) == 3
+    assert "'R' is already loaded" in capsys.readouterr().err
+
+
 def test_exit_code_derived_relation_name(tmp_path, capsys):
     # names the package once derived for itself load like any other
     raw = {"R": (("A", "B"), [(1, 2), (2, 3)]), "R@X,Y": (("X", "Y"), [(9, 9)]),
@@ -259,6 +267,35 @@ def test_usage_error_for_counts_out_of_range(tmp_path, capsys, argv):
         main([argv[0], dbdir, qpath, *argv[1:]])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--epsilon", "2"],
+    ["--epsilon", "1"],
+    ["--epsilon", "nan"],
+    ["--delta", "0"],
+    ["--delta", "-0.1"],
+    ["--strategy", "alley", "--b", "0"],
+    ["--strategy", "alley", "--b", "1.5"],
+])
+def test_usage_error_for_fractions_out_of_range(tmp_path, capsys, argv):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", dbdir, qpath, *argv])
+    assert exc.value.code == 2
+    assert "must be in (0, 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "wander"],
+    ["--strategy", "alley"],
+    ["--boost", "tie"],
+    ["--boost", "any-edge"],
+    ["--skip-nonjoin"],
+])
+def test_unsupported_success_count_is_a_validation_error(tmp_path, capsys, argv):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    assert main(["estimate", dbdir, qpath, "--mode", "success-count", *argv]) == 4
 
 
 def test_usage_error_for_projection_count_target(tmp_path, capsys):

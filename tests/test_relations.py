@@ -27,6 +27,14 @@ def test_load_rejects_arity_mismatch():
         db.load("R", ("A", "B"), [(1, 2, 3)])
 
 
+def test_load_rejects_a_name_loaded_twice():
+    db = small_db()
+    with pytest.raises(SchemaError, match="already loaded"):
+        db.load("R", ("C", "D"), [(7, 8)])
+    assert db.relation("R").schema == ("A", "B")
+    assert len(db.relation("R")) == 4
+
+
 def test_degree_counts_multiplicity():
     db = small_db()
     idx = db.index("R", ("A", "B"))
