@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .estimators import Plan, seeded_mean
-from .queries import (
-    Hypergraph, QueryError, bound_first_index, half_integral_cover, relation_sizes,
-)
+from .queries import Hypergraph, QueryError, half_integral_cover, relation_sizes
 
 
 @dataclass
@@ -91,7 +89,7 @@ class ComponentPlan:
         rel = self.db.relation(relname)
         a, b = rel.schema
         # symmetric precondition makes both columns agree
-        n = 2 * self.db.index(relname, (a, b))._descend({a: value})[1]
+        n = 2 * self.db.index(relname, (a, b))._walk((value,))[1]
         self._inc[key] = n
         return n
 
@@ -158,7 +156,7 @@ def _edge_pair_deg(cplan, edge, u, a, w, b) -> int:
 
 def _row_for(cplan, edge, rng):
     """Uniform row of the edge's relation; (assignment fragment, multiplicity)."""
-    idx = bound_first_index(cplan.db, edge, {})
+    idx, _ = cplan.plan.bound_index(edge, {})
     row = idx.sample_row({}, rng)
     frag = dict(zip(idx.order, row))
     mult = cplan.plan.edge_degree(edge, frag)
@@ -200,7 +198,7 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
     e_back = edges[L - 1]                     # joins w, seq[0]
     e_fwd = edges[L - 2]                      # joins seq[L-2], w
     bound = {seq[0]: a[seq[0]]}
-    idx = bound_first_index(cplan.db, e_back, bound)
+    idx, _ = cplan.plan.bound_index(e_back, bound)
     view = idx.project((w,), bound, dedup=True)
     no = view.size()
     cplan.db.ops.add(max(1, no))
@@ -243,7 +241,7 @@ def _star_trial_sste(cplan, comp, rng):
         deg = cplan.plan.edge_degree(e, bound)
         if deg == 0:
             return 0.0, []
-        idx = bound_first_index(cplan.db, e, bound)
+        idx, _ = cplan.plan.bound_index(e, bound)
         row = idx.sample_row(bound, rng)
         got = dict(zip(idx.order, row))
         mult = cplan.plan.edge_degree(e, got)
@@ -314,7 +312,7 @@ def _cycle_trial_sust(cplan, comp, rng):
     inc0 = cplan.incidence(relname, a[seq[0]])
     if inc0 < thresh:
         bound = {seq[0]: a[seq[0]]}
-        idx = bound_first_index(cplan.db, e_back, bound)
+        idx, _ = cplan.plan.bound_index(e_back, bound)
         view = idx.project((w,), bound, dedup=True)
         no = view.size()
         cplan.db.ops.add(max(1, no))

@@ -62,6 +62,10 @@ class Plan:
     attributes that appear in exactly one edge are never sampled; the leaf
     returns the product of their per-edge distinct-extension counts instead
     of 1.
+
+    Each probe's index is resolved once per plan, so a trial step does only
+    the probe: index_for per edge (its edge order), bound_index per (edge,
+    bound attributes) (queries.bound_first_index, the one order rule).
     """
 
     def __init__(self, db, query: Hypergraph, elim_order=None, skip_nonjoin=False,
@@ -93,7 +97,14 @@ class Plan:
                 sorted(e.attrs, key=lambda a: (a in self.skipped, pos.get(a, 0), a))
             )
         self.e_I = {a: query.edges_containing(a) for a in query.attributes}
+        # agm_ratio's (eid, float weight, attrs) per weighted edge, e_I order
+        self._agm_terms = {} if self.empty else {
+            a: [(e.eid, float(self.cover.weights[e.eid]), e.attr_set)
+                for e in es if self.cover.weights[e.eid]]
+            for a, es in self.e_I.items()}
         self._deg_cache = {}
+        self._indexes = {}   # eid -> index along edge_order
+        self._bound = {}     # (eid, bound attrs) -> (bound-first index, its prefix)
 
     def next_attr(self, remaining):
         for a in self.elim:
@@ -102,23 +113,37 @@ class Plan:
         raise LookupError(f"no sampled attribute left in {sorted(remaining)}")
 
     def index_for(self, edge):
-        return edge_index(self.db, edge, self.edge_order[edge.eid])
+        """The edge's index along its edge order, built or found once."""
+        idx = self._indexes.get(edge.eid)
+        if idx is None:
+            idx = self._indexes[edge.eid] = edge_index(
+                self.db, edge, self.edge_order[edge.eid])
+        return idx
+
+    def bound_index(self, edge, s):
+        """(bound-first index, its bound prefix) for edge under binding s."""
+        attrs = tuple(a for a in edge.attrs if a in s)
+        hit = self._bound.get((edge.eid, attrs))
+        if hit is None:
+            idx = bound_first_index(self.db, edge, attrs)
+            hit = self._bound[edge.eid, attrs] = (idx, idx.order[:len(attrs)])
+        return hit
 
     def edge_degree(self, edge, s) -> int:
         """|R_F ⋉ s| restricted to the attrs of F bound in s, memoized.
 
-        The op meter is charged whether or not the cache hits: the cache is a
-        shortcut of this implementation, not of the cost model.
+        Keyed by the edge's column values, None where unbound (values are
+        interned ints); a miss walks bound_index's index. The op meter is
+        charged whether or not the cache hits: the cache is a shortcut of
+        this implementation, not of the cost model.
         """
-        pairs = tuple(sorted((a, s[a]) for a in edge.attrs if a in s))
-        key = (edge.eid, pairs)
+        key = (edge.eid, *map(s.get, edge.attrs))
         self.db.ops.add(1)
         hit = self._deg_cache.get(key)
         if hit is not None:
             return hit
-        idx = bound_first_index(self.db, edge, s)
-        _, deg = idx._descend({a: v for a, v in pairs})
-        self._deg_cache[key] = deg
+        idx, prefix = self.bound_index(edge, s)
+        deg = self._deg_cache[key] = idx._walk([s[a] for a in prefix])[1]
         return deg
 
     def leaf_value(self, s) -> float:
@@ -151,17 +176,14 @@ class Plan:
         after = set(remaining) | self.skipped
         after.discard(attr)
         log = 0.0
-        for e in self.e_I[attr]:
-            x = self.cover.weights[e.eid]
-            if not x:
-                continue
-            d2 = deg2[e.eid]
+        for eid, x, attr_set in self._agm_terms[attr]:
+            d2 = deg2[eid]
             if d2 == 0:
                 return 0.0
-            if e.attr_set & after:
-                log += float(x) * (math.log(d2) - math.log(deg1[e.eid]))
+            if attr_set & after:
+                log += x * (math.log(d2) - math.log(deg1[eid]))
             else:
-                log -= float(x) * math.log(deg1[e.eid])
+                log -= x * math.log(deg1[eid])
         return math.exp(log)
 
 
@@ -195,12 +217,11 @@ class WanderJoin:
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         edge = next(e for e in plan.query.edges if e.attr_set & remaining)
         I = tuple(a for a in sorted(edge.attrs) if a in remaining)
-        bound = {a: s[a] for a in edge.attrs if a in s}
-        idx = bound_first_index(plan.db, edge, s)
         base = plan.edge_degree(edge, s)
         if base == 0:
             return StepOutcome(I, [])
-        row = idx.sample_row(bound, rng)
+        idx, _ = plan.bound_index(edge, s)
+        row = idx.sample_row(s, rng)
         frag = {a: v for a, v in zip(idx.order, row) if a in I}
         s2 = {**s, **frag}
         p = plan.edge_degree(edge, s2) / base
@@ -352,9 +373,8 @@ class DRS:
         ne = len(edges)
         fstar = edges[rng.randrange(ne)]
         deg1 = {e.eid: plan.edge_degree(e, s) for e in edges}
-        bound = {x: s[x] for x in fstar.attrs if x in s}
-        row = plan.index_for(fstar).sample_row(bound, rng)
-        c = dict(zip(plan.index_for(fstar).order, row))[a]
+        idx = plan.index_for(fstar)
+        c = idx.sample_row(s, rng)[idx.order.index(a)]
         s2 = {**s, a: c}
         deg2 = {e.eid: plan.edge_degree(e, s2) for e in edges}
         # argmax of deg2/deg1 by exact cross-multiplication
@@ -427,12 +447,7 @@ def uniform_sample(plan: Plan, strategy, rng):
     with the same probability (1/AGM for the table strategy, times the
     edge-choice factor for the rejection strategy).
     """
-    if not getattr(strategy, "uniform", False):
-        raise QueryError(f"{strategy.name} does not support uniform sampling")
-    if getattr(strategy, "boost", "none") != "none":
-        raise QueryError("boosted kept-probabilities are not answer-uniform")
-    if plan.skipped:
-        raise QueryError("uniform sampling needs the unskipped plan")
+    _check_uniform(plan, strategy)
     if plan.empty:
         return None
     remaining = set(plan.elim)
@@ -449,16 +464,28 @@ def uniform_sample(plan: Plan, strategy, rng):
     return s
 
 
+def _check_uniform(plan: Plan, strategy) -> None:
+    """Raise QueryError unless uniform_sample can draw with strategy on plan."""
+    if not getattr(strategy, "uniform", False):
+        raise QueryError(f"{strategy.name} does not support uniform sampling")
+    if getattr(strategy, "boost", "none") != "none":
+        raise QueryError("boosted kept-probabilities are not answer-uniform")
+    if plan.skipped:
+        raise QueryError("uniform sampling needs the unskipped plan")
+
+
 def per_answer_probability(plan: Plan, strategy) -> float:
-    """Success probability of uniform_sample for any single fixed answer."""
-    if isinstance(strategy, GJSample):
-        return 1.0 / plan.agm
+    """Success probability of uniform_sample for any single fixed answer;
+    0.0 on an empty plan, which has none. Checks the strategy and plan as
+    uniform_sample does, empty or not."""
+    _check_uniform(plan, strategy)
+    if not isinstance(strategy, (GJSample, DRS)):
+        raise QueryError(f"no closed-form success probability for {strategy.name}")
+    factor = 1.0
     if isinstance(strategy, DRS):
-        factor = 1.0
         for a in plan.elim:
             factor /= len(plan.e_I[a])
-        return factor / plan.agm
-    raise QueryError(f"no closed-form success probability for {strategy.name}")
+    return 0.0 if plan.empty else factor / plan.agm
 
 
 def variance_bound(plan: Plan, strategy, out: float) -> float:
@@ -603,11 +630,11 @@ def _mean_of_trials(plan, strategy, seed, stream, n, median):
 
 def _success_count(plan, strategy, seed, c, ops0, epsilon, delta):
     check_success_target(c)
+    p0 = per_answer_probability(plan, strategy)
     if plan.empty:
         return EstimateReport(0.0, 1, "success-count", strategy.name,
                               epsilon, delta, successes=0, c=c, seed=seed,
                               ops=plan.db.ops.n - ops0)
-    p0 = per_answer_probability(plan, strategy)
     successes, trials, cap = count_successes(
         lambda rng: uniform_sample(plan, strategy, rng), p0, c, seed, "sc")
     est = successes / trials / p0

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class QueryError(ValueError):
@@ -42,7 +43,7 @@ class Edge:
     attrs: tuple  # attribute names, in relation schema order
     relation: str
 
-    @property
+    @cached_property
     def attr_set(self):
         return frozenset(self.attrs)
 

@@ -4,7 +4,11 @@ A Relation is a bag of tuples over named attributes, with values interned to
 integer ids so hot loops compare ints only. A TrieIndex nests the tuples of
 one relation along a fixed attribute order and keeps subtree counts, which
 makes semijoin degrees, row sampling, and projection views cheap (one binary
-search per level).
+search per level). Every probe walks the bound prefix once, in `_walk`, and
+needs the bound attributes to be a prefix of the order. Which index a probe
+reads is one rule, `queries.bound_first_index` (bound attributes first);
+`estimators.Plan` resolves it once per (edge, bound attributes), so a trial
+step does only the walk.
 
 A Database owns the interner, the loaded relations, the deduplicated
 projections derived from them, and a lazy cache of indexes keyed by
@@ -157,42 +161,40 @@ class TrieIndex:
             )
         return bound
 
-    def _descend(self, s):
-        """Walk to the node under the bound prefix; None if absent."""
+    def _walk(self, values):
+        """(node, rows) under the prefix `values`, read along the order: the
+        one descent every probe makes. (None, 0) when the prefix is absent;
+        the node is None and rows the multiplicity when every column is bound."""
         node = self.root
-        for attr in self._prefix_attrs(s):
-            i = bisect.bisect_left(node.keys, s[attr])
-            if i == len(node.keys) or node.keys[i] != s[attr]:
+        count = node.cum[-1]
+        for v in values:
+            keys = node.keys
+            i = bisect.bisect_left(keys, v)
+            if i == len(keys) or keys[i] != v:
                 return None, 0
             count = node.cum[i + 1] - node.cum[i]
             node = node.children[i]
-            if node is None:
-                return None, count  # full tuple bound; count = multiplicity
-        return node, count if node is None else node.cum[-1]
+        return node, count
 
     def degree(self, s) -> int:
         """|R ⋉ s| counted with multiplicity; 0 when the prefix is absent."""
         self._charge()
-        node, count = self._descend(s)
-        if node is None and count == 0:
-            return 0
-        return count
+        return self._walk([s[a] for a in self._prefix_attrs(s)])[1]
 
     def exist(self, row) -> bool:
         """row: mapping binding every schema attribute."""
         self._charge()
         if not set(self.order) <= set(row):
             raise SchemaError("exist() needs a fully bound row")
-        _, count = self._descend({a: row[a] for a in self.order})
-        return count > 0
+        return self._walk([row[a] for a in self.order])[1] > 0
 
     def sample_row(self, s, rng: random.Random):
         """Uniform row of R ⋉ s (multiplicity-weighted); tuple in index order."""
         self._charge()
-        node, total = self._descend(s)
+        out = [s[a] for a in self._prefix_attrs(s)]
+        node, total = self._walk(out)
         if total == 0:
             raise EmptySemijoinError(f"empty semijoin under {s}")
-        out = [s[a] for a in self._prefix_attrs(s)]
         while node is not None:
             x = rng.randrange(node.cum[-1])
             i = bisect.bisect_right(node.cum, x) - 1
@@ -210,7 +212,7 @@ class TrieIndex:
             raise UnsupportedOrderError(
                 f"projection {attrs} does not follow prefix {bound} in order {self.order}"
             )
-        node, _ = self._descend(s)
+        node, _ = self._walk([s[a] for a in bound])
         return View(self, node, want, dedup)
 
 

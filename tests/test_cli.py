@@ -298,6 +298,19 @@ def test_unsupported_success_count_is_a_validation_error(tmp_path, capsys, argv)
     assert main(["estimate", dbdir, qpath, "--mode", "success-count", *argv]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "wander"],
+    ["--strategy", "alley"],
+    ["--boost", "tie"],
+    ["--boost", "any-edge"],
+])
+def test_unsupported_success_count_fails_on_an_empty_join(tmp_path, capsys, argv):
+    # the strategy is checked before the empty join's zero report
+    dbdir, qpath = _fixture_inputs(tmp_path, "empty-tri")
+    assert main(["estimate", dbdir, qpath, "--mode", "success-count", *argv]) == 4
+    assert main(["estimate", dbdir, qpath, "--mode", "success-count"]) == 0
+
+
 def test_usage_error_for_projection_count_target(tmp_path, capsys):
     dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
     with pytest.raises(SystemExit) as exc:

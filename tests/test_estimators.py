@@ -4,7 +4,7 @@ import pytest
 
 from conftest import build, oracle
 from joinsample import (
-    AlleyPlus, DRS, GJSample, Plan, QueryError, WanderJoin,
+    AlleyPlus, DRS, GJSample, Plan, QueryError, UnsupportedOrderError, WanderJoin,
     derive_rng, estimate_with_guarantee, generic_card_est,
     make_strategy, per_answer_probability, uniform_sample, variance_bound,
 )
@@ -53,6 +53,18 @@ def test_rejection_step_records_hand_checked_probabilities():
     assert seen[1] == pytest.approx(9 / 50, rel=1e-12)
     assert seen[2] == pytest.approx(1 / 50, rel=1e-12)
     assert seen[3] == pytest.approx(1 / 50, rel=1e-12)
+
+
+def test_drs_rejects_a_binding_that_skips_an_edge_order_attribute():
+    # B and C are bound but A, first in the orders (A, B) and (A, C), is
+    # not: either drawn edge must fail loudly, never sample under {}
+    db, plan = _pair_plan()
+    assert plan.edge_order == {0: ("A", "B"), 1: ("A", "C")}
+    one = db.interner.intern(1)
+    for i in range(20):
+        with pytest.raises(UnsupportedOrderError):
+            DRS().step(plan, frozenset({"A"}), {"B": one, "C": one},
+                       derive_rng("skip", "drs", i))
 
 
 def test_table_step_records_agm_ratio():

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from joinsample import (
-    Database, EmptySemijoinError, SchemaError, UnsupportedOrderError,
-    TrieIndex, load_relation, parse_relation_file,
+    Database, EmptySemijoinError, Hypergraph, Plan, SchemaError,
+    UnsupportedOrderError, TrieIndex, load_relation, parse_relation_file,
 )
 
 
@@ -195,3 +197,77 @@ def test_derived_relation_keys_and_column_names():
     assert idx.order == ("D", "C") and idx.degree({}) == 4
     with pytest.raises(SchemaError):
         db.index("R", ("A", "B"), ("C", "D"))
+
+
+@st.composite
+def _bags(draw):
+    """(schema, rows, probes): a bag of arity 1 to 3 with duplicate rows, and
+    value tuples to bind, some matching no row."""
+    arity = draw(st.integers(1, 3))
+    schema = draw(st.permutations("ABC"))[:arity]
+    value = st.integers(0, 3)
+    rows = draw(st.lists(st.tuples(*[value] * arity), min_size=1, max_size=10))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    probes = rows[:3] + draw(st.lists(st.tuples(*[st.integers(0, 4)] * arity),
+                                      min_size=1, max_size=3))
+    return tuple(schema), rows, probes
+
+
+def _reference_row(rows, order, bound, rng):
+    """A walk over plain tuples: fix the bound prefix, then one draw per level,
+    the value whose run of sorted rows holds the drawn position."""
+    rows = sorted(rows)
+    out = [bound[a] for a in order if a in bound]
+    rows = [r for r in rows if list(r[:len(out)]) == out]
+    for depth in range(len(out), len(order)):
+        x = rng.randrange(len(rows))
+        out.append(rows[x][depth])
+        rows = [r for r in rows if r[depth] == out[-1]]
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_bags(), st.integers(0, 2**32))
+@example(((("B", "A"), [(1, 2)], [(1, 2), (3, 3)])), 0)   # one row
+def test_probes_match_brute_force(bag, seed):
+    # Plan.edge_degree and TrieIndex.sample_row against the rows themselves,
+    # under every set of bound attributes: empty, edge-order prefixes, the
+    # non-prefixes wander binds, and full
+    schema, raw, probes = bag
+    db = Database()
+    db.load("R", schema, raw)
+    rows = db.relation("R").tuples
+    plan = Plan(db, Hypergraph(schema, [(schema, "R")]))
+    (edge,) = plan.query.edges
+    ops = db.ops
+    for probe in probes:
+        ids = [db.interner.intern(v) for v in probe]
+        for k in range(len(schema) + 1):
+            for attrs in itertools.combinations(range(len(schema)), k):
+                s = {schema[i]: ids[i] for i in attrs}
+                want = sum(all(r[i] == ids[i] for i in attrs) for r in rows)
+                before = ops.n
+                assert plan.edge_degree(edge, s) == want
+                assert ops.n == before + 1
+                size = len(plan._deg_cache)
+                assert plan.edge_degree(edge, s) == want     # a cache hit
+                assert ops.n == before + 2 and len(plan._deg_cache) == size
+
+                idx, _ = plan.bound_index(edge, s)
+                perm = [schema.index(a) for a in idx.order]
+                ordered = [tuple(r[p] for p in perm) for r in rows]
+                before = ops.n
+                if want == 0:
+                    with pytest.raises(EmptySemijoinError):
+                        idx.sample_row(s, random.Random(seed))
+                else:
+                    row = idx.sample_row(s, random.Random(seed))
+                    assert row in ordered
+                    assert all(dict(zip(idx.order, row))[a] == v for a, v in s.items())
+                    assert row == _reference_row(ordered, idx.order, s,
+                                                 random.Random(seed))
+                assert ops.n == before + 1
+                own = plan.index_for(edge)
+                if tuple(a for a in own.order if a in s) != own.order[:k]:
+                    with pytest.raises(UnsupportedOrderError):
+                        own.sample_row(s, random.Random(seed))
