@@ -138,7 +138,7 @@ class Plan:
         this implementation, not of the cost model.
         """
         key = (edge.eid, *map(s.get, edge.attrs))
-        self.db.ops.add(1)
+        self.db.ops.n += 1
         hit = self._deg_cache.get(key)
         if hit is not None:
             return hit
@@ -390,7 +390,7 @@ class DRS:
                 tied = [e]
             elif left == right:
                 tied.append(e)
-        is_max = any(e.eid == fstar.eid for e in tied)
+        is_max = fstar in tied
         if self.boost != "any-edge" and not is_max:
             return StepOutcome((a,), [])
         ratio = plan.agm_ratio(remaining, s, a, c, deg1, deg2)

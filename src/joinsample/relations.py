@@ -151,7 +151,7 @@ class TrieIndex:
 
     def _charge(self, k=1):
         if self._counter is not None:
-            self._counter.add(k)
+            self._counter.n += k
 
     def _prefix_attrs(self, s):
         bound = [a for a in self.order if a in s]
