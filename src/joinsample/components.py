@@ -156,7 +156,7 @@ def _edge_pair_deg(cplan, edge, u, a, w, b) -> int:
 
 def _row_for(cplan, edge, rng):
     """Uniform row of the edge's relation; (assignment fragment, multiplicity)."""
-    idx, _ = cplan.plan.bound_index(edge, {})
+    idx = cplan.plan.bound_index(edge, {})
     row = idx.sample_row({}, rng)
     frag = dict(zip(idx.order, row))
     mult = cplan.plan.edge_degree(edge, frag)
@@ -198,7 +198,7 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
     e_back = edges[L - 1]                     # joins w, seq[0]
     e_fwd = edges[L - 2]                      # joins seq[L-2], w
     bound = {seq[0]: a[seq[0]]}
-    idx, _ = cplan.plan.bound_index(e_back, bound)
+    idx = cplan.plan.bound_index(e_back, bound)
     view = idx.project((w,), bound, dedup=True)
     no = view.size()
     cplan.db.ops.add(max(1, no))
@@ -241,7 +241,7 @@ def _star_trial_sste(cplan, comp, rng):
         deg = cplan.plan.edge_degree(e, bound)
         if deg == 0:
             return 0.0, []
-        idx, _ = cplan.plan.bound_index(e, bound)
+        idx = cplan.plan.bound_index(e, bound)
         row = idx.sample_row(bound, rng)
         got = dict(zip(idx.order, row))
         mult = cplan.plan.edge_degree(e, got)
@@ -312,7 +312,7 @@ def _cycle_trial_sust(cplan, comp, rng):
     inc0 = cplan.incidence(relname, a[seq[0]])
     if inc0 < thresh:
         bound = {seq[0]: a[seq[0]]}
-        idx, _ = cplan.plan.bound_index(e_back, bound)
+        idx = cplan.plan.bound_index(e_back, bound)
         view = idx.project((w,), bound, dedup=True)
         no = view.size()
         cplan.db.ops.add(max(1, no))

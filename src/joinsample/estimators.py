@@ -104,7 +104,7 @@ class Plan:
             for a, es in self.e_I.items()}
         self._deg_cache = {}
         self._indexes = {}   # eid -> index along edge_order
-        self._bound = {}     # (eid, bound attrs) -> (bound-first index, its prefix)
+        self._bound = {}     # (eid, bound attrs) -> bound-first index
 
     def next_attr(self, remaining):
         for a in self.elim:
@@ -121,13 +121,13 @@ class Plan:
         return idx
 
     def bound_index(self, edge, s):
-        """(bound-first index, its bound prefix) for edge under binding s."""
+        """The bound-first index of edge under binding s, whose order starts
+        with the attributes s binds; found once per (edge, bound attrs)."""
         attrs = tuple(a for a in edge.attrs if a in s)
-        hit = self._bound.get((edge.eid, attrs))
-        if hit is None:
-            idx = bound_first_index(self.db, edge, attrs)
-            hit = self._bound[edge.eid, attrs] = (idx, idx.order[:len(attrs)])
-        return hit
+        idx = self._bound.get((edge.eid, attrs))
+        if idx is None:
+            idx = self._bound[edge.eid, attrs] = bound_first_index(self.db, edge, attrs)
+        return idx
 
     def edge_degree(self, edge, s) -> int:
         """|R_F ⋉ s| restricted to the attrs of F bound in s, memoized.
@@ -142,8 +142,8 @@ class Plan:
         hit = self._deg_cache.get(key)
         if hit is not None:
             return hit
-        idx, prefix = self.bound_index(edge, s)
-        deg = self._deg_cache[key] = idx._walk([s[a] for a in prefix])[1]
+        idx = self.bound_index(edge, s)
+        deg = self._deg_cache[key] = idx._walk([s[a] for a in idx.order if a in s])[1]
         return deg
 
     def leaf_value(self, s) -> float:
@@ -220,7 +220,7 @@ class WanderJoin:
         base = plan.edge_degree(edge, s)
         if base == 0:
             return StepOutcome(I, [])
-        idx, _ = plan.bound_index(edge, s)
+        idx = plan.bound_index(edge, s)
         row = idx.sample_row(s, rng)
         frag = {a: v for a, v in zip(idx.order, row) if a in I}
         s2 = {**s, **frag}

@@ -253,7 +253,7 @@ def test_probes_match_brute_force(bag, seed):
                 assert plan.edge_degree(edge, s) == want     # a cache hit
                 assert ops.n == before + 2 and len(plan._deg_cache) == size
 
-                idx, _ = plan.bound_index(edge, s)
+                idx = plan.bound_index(edge, s)
                 perm = [schema.index(a) for a in idx.order]
                 ordered = [tuple(r[p] for p in perm) for r in rows]
                 before = ops.n
