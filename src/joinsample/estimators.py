@@ -14,8 +14,9 @@ Strategies:
   GJSample    - explicit probability table proportional to the residual AGM
                 bound of each candidate, with a failure symbol for the
                 leftover mass. The table is built in one pass over the
-                smallest projection's trie node, then drawn from; ops are
-                charged per candidate per edge.
+                smallest projection's trie node, kept in the plan's probe
+                memo, then drawn from; ops are charged per candidate per
+                edge on every step, memo hit or not.
   DRS         - picks an edge uniformly, samples a row from it, and keeps the
                 value only if that edge maximizes the value's relative degree,
                 thinned so the kept probability is the AGM-bound ratio. No
@@ -44,6 +45,7 @@ from .queries import (
     relation_sizes,
     validate,
 )
+from .relations import View
 
 
 @dataclass
@@ -66,6 +68,13 @@ class Plan:
     Each probe's index is resolved once per plan, so a trial step does only
     the probe: index_for per edge (its edge order), bound_index per (edge,
     bound attributes) (queries.bound_first_index, the one order rule).
+
+    _deg_cache is the plan's one probe memo. It holds edge degrees, keyed
+    by (eid, column values), and step tables, keyed by a strategy tag
+    ("gj" or "alley"), the attribute a, GJ's remaining set and the values
+    bound on near[a], every attribute of the edges containing a. The tag
+    is a string and an eid an int, so the two kinds of key never meet.
+    Emptying the memo forgets both; no probe's op charge depends on it.
     """
 
     def __init__(self, db, query: Hypergraph, elim_order=None, skip_nonjoin=False,
@@ -102,6 +111,9 @@ class Plan:
             a: [(e.eid, float(self.cover.weights[e.eid]), e.attr_set)
                 for e in es if self.cover.weights[e.eid]]
             for a, es in self.e_I.items()}
+        # every attribute of the edges containing a: what a step on a reads
+        self.near = {a: tuple(dict.fromkeys(x for e in es for x in e.attrs))
+                     for a, es in self.e_I.items()}
         self._deg_cache = {}
         self._indexes = {}   # eid -> index along edge_order
         self._bound = {}     # (eid, bound attrs) -> bound-first index
@@ -145,6 +157,29 @@ class Plan:
         idx = self.bound_index(edge, s)
         deg = self._deg_cache[key] = idx._walk([s[a] for a in idx.order if a in s])[1]
         return deg
+
+    def views(self, a, s):
+        """π_a(R_F ⋉ s) for each edge F containing a, in e_I order; each
+        projection charges one op."""
+        views = []
+        for e in self.e_I[a]:
+            bound = {x: s[x] for x in e.attrs if x in s}
+            views.append(self.index_for(e).project((a,), bound, dedup=True))
+        return views
+
+    def step_table(self, key, a, build):
+        """The step table for attribute a under key, from the probe memo.
+
+        A miss stores build(), which projects every edge containing a (one
+        op each); a hit charges those projections' ops itself, so the meter
+        reads the same either way.
+        """
+        table = self._deg_cache.get(key)
+        if table is None:
+            table = self._deg_cache[key] = build()
+        else:
+            self.db.ops.n += len(self.e_I[a])
+        return table
 
     def leaf_value(self, s) -> float:
         if not self.skipped:
@@ -232,7 +267,15 @@ class WanderJoin:
 
 
 class AlleyPlus:
-    """Intersection sampling without replacement at branching fraction b."""
+    """Intersection sampling without replacement at branching fraction b.
+
+    A step's candidate set Ω is the intersection of the projections of the
+    edges containing the next attribute a, scanned from the smallest. Ω
+    depends only on a and the values bound on plan.near[a], so it is kept
+    in the plan's probe memo and shared by every b. Each step charges one
+    op per projection and max(1, |smallest|) for the scan, memo hit or not,
+    then keeps ceil(b·|Ω|) of Ω.
+    """
 
     name = "alley"
     uniform = False
@@ -244,15 +287,9 @@ class AlleyPlus:
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         a = plan.next_attr(remaining)
-        edges = plan.e_I[a]
-        views = []
-        for e in edges:
-            bound = {x: s[x] for x in e.attrs if x in s}
-            views.append(plan.index_for(e).project((a,), bound, dedup=True))
-        views.sort(key=lambda v: v.size())
-        smallest, rest = views[0], views[1:]
-        plan.db.ops.add(max(1, smallest.size()))
-        omega = [c for (c,) in smallest if all(v.count_of((c,)) for v in rest)]
+        omega, scan = plan.step_table(("alley", a, *map(s.get, plan.near[a])), a,
+                                      lambda: _intersection(plan, a, s))
+        plan.db.ops.n += scan
         n = len(omega)
         if n == 0:
             return StepOutcome((a,), [])
@@ -263,6 +300,15 @@ class AlleyPlus:
         return StepOutcome((a,), samples, k=k)
 
 
+def _intersection(plan, a, s):
+    """(Ω as a tuple, the scan's op charge) for AlleyPlus.step."""
+    views = plan.views(a, s)
+    smallest = min(views, key=View.size)
+    rest = [v for v in views if v is not smallest]
+    omega = tuple(c for (c,) in smallest if all(v.count_of((c,)) for v in rest))
+    return omega, max(1, smallest.size())
+
+
 class GJSample:
     """Explicit residual-AGM probability table over the smallest projection.
 
@@ -271,16 +317,22 @@ class GJSample:
     gives deg1 (its row count) and, per candidate c, deg2 (c's supporting
     rows: the smallest view's own count while walking it, one count_of
     lookup on the others). The per-edge cover weight, log deg1 and whether
-    the edge keeps attributes after a are resolved once per step. The
+    the edge keeps attributes after a are resolved once per table. The
     whole table is summed in Ω order before the draw u picks the first
     candidate whose running sum exceeds u. Probabilities are the same floats
     agm_ratio computes (same edge order, same expressions).
 
-    The op meter is charged for the full table: one degree probe per edge
-    for deg1, one per projection, max(1, |Ω|) for the scan, and one per edge
-    per candidate for deg2. The table is not cut short at the drawn
-    candidate, so a step's time follows its ops and does not depend on
-    where u falls.
+    A table reads only a, remaining and the values bound on plan.near[a],
+    so it is kept in the plan's probe memo under those and built once per
+    plan; a later step with the same key only draws from it.
+
+    The op meter is charged for the full table on every step, memo hit or
+    not: one op per projection, one degree probe per edge for deg1,
+    max(1, |Ω|) for the scan, and one per edge per candidate for deg2. One
+    u is drawn per step, also when Ω is empty. So seeded draws and op
+    counts do not depend on what the memo holds. On a miss the whole table
+    is built before the draw, so the step's time follows its ops and does
+    not depend on where u falls; a hit costs a lookup and a bisection.
     """
 
     name = "gj"
@@ -288,60 +340,60 @@ class GJSample:
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         a = plan.next_attr(remaining)
-        edges = plan.e_I[a]
-        views = []
-        best = None
-        for e in edges:
-            bound = {x: s[x] for x in e.attrs if x in s}
-            view = plan.index_for(e).project((a,), bound, dedup=True)
-            views.append(view)
-            key = (view.size(), e.eid)
-            if best is None or key < best[0]:
-                best = (key, view)
-        smallest = best[1]
-        n = smallest.size()
-        plan.db.ops.add(len(edges) + max(1, n) + len(edges) * n)
+        key = ("gj", a, remaining, *map(s.get, plan.near[a]))
+        cands, probs, cum, lookups, cost = plan.step_table(
+            key, a, lambda: _gj_table(plan, a, remaining, s))
+        plan.db.ops.n += cost
         u = rng.random()
-        if n == 0:
-            return StepOutcome((a,), [])
-        after = set(remaining) | plan.skipped
-        after.discard(a)
-        # deg2 per edge: None reads the walked view's own count
-        lookups = [None if view is smallest else view.count_of for view in views]
-        # per weighted edge, in agm_ratio's order: lookup, float(x), log deg1,
-        # and whether the edge keeps attributes after a
-        weights = plan.cover.weights
-        terms = [(lookup, float(weights[e.eid]), math.log(view.rows()),
-                  bool(e.attr_set & after))
-                 for e, view, lookup in zip(edges, views, lookups) if weights[e.eid]]
-        # the whole table, then the draw: a step costs the same whatever u
-        # is, as its ops say
-        cands, probs, cum = [], [], []
-        acc = 0.0
-        for c, own in smallest.items():
-            probe = (c,)
-            log = 0.0
-            for lookup, fx, log1, keeps in terms:
-                d2 = own if lookup is None else lookup(probe)
-                if d2 == 0:
-                    p = 0.0
-                    break
-                if keeps:
-                    log += fx * (math.log(d2) - log1)
-                else:
-                    log -= fx * log1
-            else:
-                p = math.exp(log)
-            acc += p
-            cands.append(c)
-            probs.append(p)
-            cum.append(acc)
         i = bisect.bisect_right(cum, u)   # the first candidate with u < acc
-        if i < n:
+        if i < len(cum):
             c = cands[i]
             member = all(lookup is None or lookup((c,)) > 0 for lookup in lookups)
             return StepOutcome((a,), [({a: c}, probs[i], member)])
-        return StepOutcome((a,), [])  # failure symbol: leftover mass
+        return StepOutcome((a,), [])  # failure symbol: leftover mass, or Ω empty
+
+
+def _gj_table(plan, a, remaining, s):
+    """GJSample's table on a: (candidates, probabilities, running sums,
+    deg2 lookup per edge with None for Ω's own view, the step's op charge
+    beyond the projections)."""
+    views = plan.views(a, s)
+    smallest = min(views, key=View.size)
+    n = smallest.size()
+    cost = len(views) + max(1, n) + len(views) * n
+    # deg2 per edge: None reads the walked view's own count
+    lookups = [None if view is smallest else view.count_of for view in views]
+    if n == 0:
+        return (), (), (), lookups, cost
+    after = set(remaining) | plan.skipped
+    after.discard(a)
+    # per weighted edge, in agm_ratio's order: lookup, float(x), log deg1,
+    # and whether the edge keeps attributes after a
+    weights = plan.cover.weights
+    terms = [(lookup, float(weights[e.eid]), math.log(view.rows()),
+              bool(e.attr_set & after))
+             for e, view, lookup in zip(plan.e_I[a], views, lookups) if weights[e.eid]]
+    probs, cum = [], []
+    acc = 0.0
+    for c, own in smallest.items():
+        probe = (c,)
+        log = 0.0
+        for lookup, fx, log1, keeps in terms:
+            d2 = own if lookup is None else lookup(probe)
+            if d2 == 0:
+                p = 0.0
+                break
+            if keeps:
+                log += fx * (math.log(d2) - log1)
+            else:
+                log -= fx * log1
+        else:
+            p = math.exp(log)
+        acc += p
+        probs.append(p)
+        cum.append(acc)
+    # Ω's candidates are the smallest view's trie keys, in items() order
+    return smallest.node.keys, probs, cum, lookups, cost
 
 
 class DRS:

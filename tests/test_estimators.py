@@ -5,7 +5,7 @@ import pytest
 from conftest import build, oracle
 from joinsample import (
     AlleyPlus, DRS, GJSample, Plan, QueryError, UnsupportedOrderError, WanderJoin,
-    derive_rng, estimate_with_guarantee, generic_card_est,
+    derive_rng, estimate_with_guarantee, generic_card_est, generic_join,
     make_strategy, per_answer_probability, uniform_sample, variance_bound,
 )
 
@@ -214,3 +214,53 @@ def test_quick_unbiasedness_smoke(mc):
     for fix, key in (("path3", "wander"), ("cycle4", "drs")):
         st = mc(fix, key, 4000)
         assert abs(st.mean - oracle(fix).out) < 4 * st.se + 1e-9, (fix, key)
+
+
+def _memo_runs(fix, skip, group, cold, n=60):
+    """Values and total ops of n seeded rounds on one plan. Each round runs
+    one trial of each strategy in turn, so degree entries and both kinds of
+    step table share the plan's probe memo. With group, the plan leads its
+    elimination order with those attributes and every trial extends one
+    of their join keys, as ghd.group_by_card_est runs it. With cold, the
+    memo is emptied before every trial."""
+    db, query, _ = build(fix)
+    hq = query.hypergraph
+    strategies = [GJSample(), AlleyPlus(b=0.5), AlleyPlus(b=1.0), DRS(), WanderJoin()]
+    if group:
+        rest = tuple(a for a in hq.attributes if a not in group)
+        plan = Plan(db, hq, elim_order=group + rest)
+        remaining = frozenset(rest)
+        keys = sorted(generic_join(db, hq, remaining=group))
+        bindings = [dict(zip(group, key)) for key in keys]
+    else:
+        plan = Plan(db, hq, skip_nonjoin=skip)
+        remaining, bindings = None, [None]
+    ops0 = db.ops.n
+    values = []
+    for i in range(n):
+        s = bindings[i % len(bindings)]
+        for st in strategies:
+            if cold:
+                plan._deg_cache.clear()
+            rng = derive_rng("memo", f"{fix}/{st.name}", i)
+            values.append(generic_card_est(plan, st, remaining, s, rng))
+    return values, db.ops.n - ops0
+
+
+@pytest.mark.parametrize("fix, skip, group", [
+    ("tri-skew", False, None),
+    ("cycle4", False, None),
+    ("ternary", False, None),
+    ("sym-5cyc", False, None),
+    ("path3", True, None),
+    ("star3", True, None),
+    ("tri-skew", False, ("A",)),
+    ("cycle4", False, ("A", "C")),
+    ("sym-5cyc", False, ("B",)),
+], ids=lambda v: "".join(v) if isinstance(v, tuple) else str(v))
+def test_a_warm_plan_matches_a_cleared_one(fix, skip, group):
+    # a table kept in the probe memo must give the trial the cleared plan
+    # gives: same values, same ops, whatever entries earlier trials left
+    warm = _memo_runs(fix, skip, group, cold=False)
+    assert warm == _memo_runs(fix, skip, group, cold=True)
+    assert any(warm[0])

@@ -7,8 +7,15 @@ rows, a ternary edge), with and without skip_nonjoin, under optimal covers
 and under feasible covers with zero-weight or non-dyadic edges, both steps must return
 equal StepOutcomes (probabilities compared with ==), charge equal ops and
 leave the rng in the same state.
+
+GJSample keeps each table in the plan's probe memo, and the reference does
+not. Every step of one example runs on the same plan, alternating the full
+remaining set with a drawn subset of it (the next attribute kept), so a
+memo key that missed anything the table reads would hand one step the
+other's table and fail the comparison.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -94,7 +101,8 @@ def cases(draw):
     depth = draw(st.integers(0, len(attrs)))
     stray = draw(st.none() | st.integers(0, DOMAIN - 1))
     step_seeds = draw(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=8))
-    return shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds
+    keep = draw(st.lists(st.booleans(), min_size=len(attrs), max_size=len(attrs)))
+    return shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds, keep
 
 
 def _plan(shape, rows, order, skip, weights):
@@ -132,14 +140,18 @@ def _prefix(plan, walk_seed, depth, stray):
 @example(("ternary 4-cycle",
           {"R": [(0, 0)] + [(0, 1)] * 5 + [(1, 1)], "T": [(0, 0, 0)]},
           ("D", "B", "C", "A"), False,
-          {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 3)}, 0, 0, None, [1]))
+          {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 3)}, 0, 0, None, [1],
+          [True] * 4))
 def test_one_pass_table_matches_per_candidate_table(case):
-    shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds = case
+    shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds, keep = case
     plan = _plan(shape, rows, order, skip, weights)
     s = _prefix(plan, walk_seed, depth, stray)
-    remaining = frozenset(plan.elim) - set(s)
+    unbound = [a for a in plan.elim if a not in s]
+    # the next attribute and any subset of the later ones: the table reads
+    # remaining, so a step on the same plan must not reuse the other's table
+    partial = frozenset(unbound[:1] + [a for a, k in zip(unbound[1:], keep) if k])
     ops = plan.db.ops
-    for seed in step_seeds:
+    for seed, remaining in itertools.product(step_seeds, (frozenset(unbound), partial)):
         rng_new, rng_ref = random.Random(seed), random.Random(seed)
         before = ops.n
         got = GJSample().step(plan, remaining, dict(s), rng_new)
