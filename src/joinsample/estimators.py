@@ -332,7 +332,8 @@ class GJSample:
     u is drawn per step, also when Ω is empty. So seeded draws and op
     counts do not depend on what the memo holds. On a miss the whole table
     is built before the draw, so the step's time follows its ops and does
-    not depend on where u falls; a hit costs a lookup and a bisection.
+    not depend on where u falls; a hit costs the key, a bisection and the
+    drawn candidate's membership lookups.
     """
 
     name = "gj"
