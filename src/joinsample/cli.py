@@ -23,7 +23,7 @@ from .estimators import (
     Plan, estimate_with_guarantee, generic_card_est, make_strategy, seeded_trials,
     uniform_sample, variance_bound,
 )
-from .exactweight import WeightOverflowError, exact_uniform_sample, preprocess_weights
+from .exactweight import WeightIndex, WeightOverflowError, exact_uniform_sample
 from .ghd import GHD, check_ghd, choose_ghd, ghd_card_est, rho_star
 from .queries import QueryError, load_query_file, validate
 from .relations import Database, EmptySemijoinError, SchemaError, load_relation_file
@@ -148,6 +148,8 @@ def cmd_estimate(args) -> int:
     db, query, digest = _load_inputs(args)
     report = _base_report(args, "estimate", digest)
     report["strategy"] = args.strategy
+    if args.boost != "none" and (args.strategy != "drs" or query.projection):
+        raise CliError(EXIT_VALIDATE, "--boost needs --strategy drs on a join query")
     if query.projection:
         if args.strategy not in ("drs", "gj"):
             raise CliError(EXIT_VALIDATE,
@@ -192,7 +194,7 @@ def _sample_attempts(db, query, args):
         draw = lambda rng: uniform_sample(plan, strategy, rng)
     elif name == "exact":
         try:
-            widx = preprocess_weights(db, hq)
+            widx = WeightIndex(db, hq)
         except QueryError as exc:
             raise CliError(EXIT_VALIDATE, str(exc))
         except WeightOverflowError as exc:

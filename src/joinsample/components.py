@@ -12,9 +12,17 @@ of distinct images, so every dihedral class contributes exactly its size.
 This requires every cycle image of an answer to be an answer too, hence the
 symmetric-relation precondition checked by ComponentPlan.
 
+Both samplers walk an odd cycle the same way (_cycle_start, after Assadi,
+Kapralov and Khanna for SSTE and Fichtenberger, Gao and Peng for SUST):
+draw rows of (L-1)/2 alternate edges, prune by kappa, check the stitching
+edges, then close the cycle through the start vertex's neighbourhood. They
+differ only in that last draw: SSTE batch-samples it and scores by orbit
+size; SUST draws each candidate with probability 1/(2 sqrt|R|).
+
 sste_trial returns an unbiased estimate of the distinct answer count;
-sust_trial emits canonical class representatives, each with the same
-probability (needs duplicate-free relations).
+sust_sample emits canonical class representatives, each with the same
+probability (needs duplicate-free relations), and sust_trial scores the
+same attempt by 1/P times the orbit size.
 """
 
 from __future__ import annotations
@@ -130,28 +138,21 @@ def _symmetric(rel) -> bool:
 
 
 def _dihedral_images(vals):
-    L = len(vals)
-    out = []
-    for r in range(L):
-        rot = tuple(vals[r:]) + tuple(vals[:r])
-        out.append(rot)
-        out.append(tuple(reversed(rot)))
-    return out
+    """The 2L rotations and reflections of a cycle's value sequence; the
+    distinct ones make up its orbit."""
+    vals = tuple(vals)
+    rots = [vals[r:] + vals[:r] for r in range(len(vals))]
+    return rots + [rot[::-1] for rot in rots]
 
 
 def _canonical_weight(cplan, relname, vals):
-    """(is canonical, orbit size) for the value sequence of a cycle."""
+    """(is canonical, orbit size) for the value sequence of a cycle: is its
+    kappa sequence the least among its images?"""
     def kseq(seq):
         return tuple(cplan.kappa(relname, v) for v in seq)
 
     images = _dihedral_images(vals)
-    own = kseq(tuple(vals))
-    best = min(kseq(im) for im in images)
-    return own == best, len(set(images))
-
-
-def _edge_pair_deg(cplan, edge, u, a, w, b) -> int:
-    return cplan.plan.edge_degree(edge, {u: a, w: b})
+    return kseq(tuple(vals)) == min(map(kseq, images)), len(set(images))
 
 
 def _row_for(cplan, edge, rng):
@@ -163,65 +164,80 @@ def _row_for(cplan, edge, rng):
     return frag, mult
 
 
-def _cycle_trial_sste(cplan, comp, rng, canonical=True):
-    """One estimate of the cycle component's distinct-answer count.
+def _cycle_start(cplan, comp, rng, canonical):
+    """The cycle walk up to its last vertex, shared by SSTE and SUST.
 
-    Draw (L-1)/2 non-adjacent edge rows, check the stitching edges, then
-    batch-sample the last vertex from the neighborhood of the start vertex.
-    canonical=False (fallback regime) draws a single last vertex and skips
-    the kappa machinery; the caller checks cross edges on the assignment.
-    Returns (weight, [assignments]) with weight already including 1/P.
+    Draw rows of the (L-1)/2 alternate edges (edges[2j] joins seq[2j],
+    seq[2j+1]), drop the draw when canonical and seq[0]'s kappa is not the
+    least of the drawn vertices, then check the stitching edges
+    edges[2j-1]. Returns (assignment of seq[:L-1], 1/P of the rows) or None.
     """
     seq, edges = comp.attrs, comp.edges
-    L = len(seq)
     relname = edges[0].relation
     nrel = len(cplan.db.relation(relname))
-    n = (L - 1) // 2
+    n = (len(seq) - 1) // 2
     a = {}
     inv_p = 1.0
     for j in range(n):
-        e = edges[2 * j]                      # joins seq[2j], seq[2j+1]
-        frag, mult = _row_for(cplan, e, rng)
+        frag, mult = _row_for(cplan, edges[2 * j], rng)
         a.update(frag)
         inv_p *= nrel / mult
     if canonical:
         k0 = cplan.kappa(relname, a[seq[0]])
         if any(cplan.kappa(relname, a[v]) < k0 for v in seq[1: 2 * n]):
-            return 0.0, []
+            return None
     for j in range(1, n):
-        e = edges[2 * j - 1]                  # joins seq[2j-1], seq[2j]
-        if _edge_pair_deg(cplan, e, seq[2 * j - 1], a[seq[2 * j - 1]],
-                          seq[2 * j], a[seq[2 * j]]) == 0:
-            return 0.0, []
-    # last vertex w = seq[L-1]; candidates from the edge back to seq[0]
-    w = seq[L - 1]
-    e_back = edges[L - 1]                     # joins w, seq[0]
-    e_fwd = edges[L - 2]                      # joins seq[L-2], w
-    bound = {seq[0]: a[seq[0]]}
-    idx = cplan.plan.bound_index(e_back, bound)
-    view = idx.project((w,), bound, dedup=True)
+        if cplan.plan.edge_degree(edges[2 * j - 1], a) == 0:
+            return None
+    return a, inv_p
+
+
+def _back_view(cplan, comp, a):
+    """(view, size) of the last vertex's candidates: pi_w of the back edge
+    (joining w = seq[L-1] to seq[0]) under a's start vertex; charges
+    max(1, size) ops."""
+    start = comp.attrs[0]
+    bound = {start: a[start]}
+    idx = cplan.plan.bound_index(comp.edges[-1], bound)
+    view = idx.project((comp.attrs[-1],), bound, dedup=True)
     no = view.size()
     cplan.db.ops.add(max(1, no))
+    return view, no
+
+
+def _cycle_trial_sste(cplan, comp, rng, canonical=True):
+    """One estimate of the cycle component's distinct-answer count.
+
+    After _cycle_start, batch-sample the last vertex from the back view and
+    score each closed canonical cycle by its orbit size. canonical=False
+    (fallback regime) draws a single last vertex and skips the kappa
+    machinery; the caller checks cross edges on the assignment.
+    Returns (weight, [assignments]) with weight already including 1/P.
+    """
+    start = _cycle_start(cplan, comp, rng, canonical)
+    if start is None:
+        return 0.0, []
+    a, inv_p = start
+    view, no = _back_view(cplan, comp, a)
     if no == 0:
         return 0.0, []
-    k = max(1, math.ceil(no / math.sqrt(nrel))) if canonical else 1
+    seq, relname = comp.attrs, comp.edges[0].relation
+    k = 1
+    if canonical:
+        k = max(1, math.ceil(no / math.sqrt(len(cplan.db.relation(relname)))))
     total = 0.0
     kept = []
     for _ in range(k):
-        (c,) = view.sample(rng)
-        if _edge_pair_deg(cplan, e_fwd, seq[L - 2], a[seq[L - 2]], w, c) == 0:
+        (a[seq[-1]],) = view.sample(rng)
+        if cplan.plan.edge_degree(comp.edges[-2], a) == 0:   # joins seq[L-2], w
             continue
-        full = dict(a)
-        full[w] = c
+        orbit = 1.0
         if canonical:
-            vals = [full[v] for v in seq]
-            is_c, orbit = _canonical_weight(cplan, relname, vals)
+            is_c, orbit = _canonical_weight(cplan, relname, [a[v] for v in seq])
             if not is_c:
                 continue
-            total += orbit
-        else:
-            total += 1.0
-        kept.append(full)
+        total += orbit
+        kept.append(dict(a))
     return inv_p * no * total / k, kept
 
 
@@ -288,57 +304,37 @@ def variance_bound_sste(cplan: ComponentPlan, out: float) -> float:
 
 
 def _cycle_trial_sust(cplan, comp, rng):
+    """One attempt at a canonical representative of the cycle component:
+    after _cycle_start, draw the last vertex w with probability 1/(2 sqrt|R|)
+    for each candidate. The assignment, or None on rejection."""
+    start = _cycle_start(cplan, comp, rng, canonical=True)
+    if start is None:
+        return None
+    a, _ = start
     seq, edges = comp.attrs, comp.edges
-    L = len(seq)
     relname = edges[0].relation
     nrel = len(cplan.db.relation(relname))
-    n = (L - 1) // 2
-    a = {}
-    for j in range(n):
-        frag, _ = _row_for(cplan, edges[2 * j], rng)
-        a.update(frag)
-    k0 = cplan.kappa(relname, a[seq[0]])
-    if any(cplan.kappa(relname, a[v]) < k0 for v in seq[1: 2 * n]):
-        return None
-    for j in range(1, n):
-        e = edges[2 * j - 1]
-        if _edge_pair_deg(cplan, e, seq[2 * j - 1], a[seq[2 * j - 1]],
-                          seq[2 * j], a[seq[2 * j]]) == 0:
-            return None
-    w = seq[L - 1]
-    e_back = edges[L - 1]
-    e_fwd = edges[L - 2]
+    w = seq[-1]
     thresh = 2.0 * math.sqrt(nrel)
     inc0 = cplan.incidence(relname, a[seq[0]])
     if inc0 < thresh:
-        bound = {seq[0]: a[seq[0]]}
-        idx = cplan.plan.bound_index(e_back, bound)
-        view = idx.project((w,), bound, dedup=True)
-        no = view.size()
-        cplan.db.ops.add(max(1, no))
+        view, no = _back_view(cplan, comp, a)
         if no == 0 or rng.random() >= no / thresh:
             return None
-        (c,) = view.sample(rng)
+        (a[w],) = view.sample(rng)
     else:
-        # heavy start: random row, random endpoint, thin to flatten P(c)
-        idx = cplan.db.index(relname, tuple(cplan.db.relation(relname).schema))
-        row = idx.sample_row({}, rng)
-        c = row[rng.randrange(2)]
+        # heavy start: random row, random endpoint, thin to flatten P(c); the
+        # relation is symmetric, so the back edge's column order is immaterial
+        row = cplan.plan.bound_index(edges[-1], {}).sample_row({}, rng)
+        c = a[w] = row[rng.randrange(2)]
         inc_c = cplan.incidence(relname, c)
-        if inc_c < inc0:
+        if inc_c < inc0 or rng.random() >= math.sqrt(nrel) / inc_c:
             return None
-        if rng.random() >= math.sqrt(nrel) / inc_c:
+        if cplan.plan.edge_degree(edges[-1], a) == 0:
             return None
-        bound = {seq[0]: a[seq[0]], w: c}
-        if cplan.plan.edge_degree(e_back, bound) == 0:
-            return None
-    if _edge_pair_deg(cplan, e_fwd, seq[L - 2], a[seq[L - 2]], w, c) == 0:
+    if cplan.plan.edge_degree(edges[-2], a) == 0:
         return None
-    full = dict(a)
-    full[w] = c
-    vals = [full[v] for v in seq]
-    is_c, _ = _canonical_weight(cplan, relname, vals)
-    return full if is_c else None
+    return a if _canonical_weight(cplan, relname, [a[v] for v in seq])[0] else None
 
 
 def _star_trial_sust(cplan, comp, rng):
@@ -384,9 +380,9 @@ def sust_sample(cplan: ComponentPlan, rng):
 
 def sust_trial(cplan: ComponentPlan, rng) -> float:
     """One attempt scored by inverse class probability; unbiased for the
-    distinct answer count."""
-    if cplan.empty:
-        return 0.0
+    distinct answer count. It makes the draws and charges the ops of
+    sust_sample on the same rng: sust_sample has checked that the cycles
+    are canonical, and an orbit's size needs no probe."""
     got = sust_sample(cplan, rng)
     if got is None:
         return 0.0
@@ -394,8 +390,7 @@ def sust_trial(cplan: ComponentPlan, rng) -> float:
     for comp in cplan.components:
         # a class representative stands for its whole dihedral orbit
         if comp.kind == "cycle":
-            vals = [got[v] for v in comp.attrs]
-            payoff *= _canonical_weight(cplan, comp.edges[0].relation, vals)[1]
+            payoff *= len(set(_dihedral_images([got[v] for v in comp.attrs])))
     return payoff
 
 

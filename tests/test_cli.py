@@ -311,6 +311,19 @@ def test_unsupported_success_count_fails_on_an_empty_join(tmp_path, capsys, argv
     assert main(["estimate", dbdir, qpath, "--mode", "success-count"]) == 0
 
 
+@pytest.mark.parametrize("fix,argv", [
+    ("tri-skew", ["--strategy", "gj", "--boost", "tie"]),
+    ("tri-skew", ["--strategy", "wander", "--boost", "any-edge"]),
+    ("tri-skew", ["--strategy", "alley", "--boost", "tie"]),
+    ("proj-path", ["--boost", "tie"]),
+    ("proj-path", ["--strategy", "gj", "--boost", "any-edge"]),
+])
+def test_boost_outside_drs_on_a_join_is_a_validation_error(tmp_path, capsys, fix, argv):
+    dbdir, qpath = _fixture_inputs(tmp_path, fix)
+    assert main(["estimate", dbdir, qpath, "--seed", "1", *argv]) == 4
+    assert "--boost" in capsys.readouterr().err
+
+
 def test_usage_error_for_projection_count_target(tmp_path, capsys):
     dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from conftest import build, oracle
@@ -140,3 +143,91 @@ def test_component_trials_unbiased_smoke(mc):
     for fix, key in (("sym-tri", "sste"), ("sym-tri", "sust"), ("star3", "sste")):
         st = mc(fix, key, 4000)
         assert abs(st.mean - oracle(fix).out) < 4 * st.se + 1e-9, (fix, key)
+
+
+def _chord_5cyc():
+    """sym-5cyc's relation under edges AB, BC, CD, DF, AF and the chord AC:
+    cycle ABC, star DF, cross edges CD and AF (SSTE's fallback regime)."""
+    db, _, _ = build("sym-5cyc")
+    hq = Hypergraph(("A", "B", "C", "D", "F"),
+                    [(("A", "B"), "E"), (("B", "C"), "E"), (("C", "D"), "E"),
+                     (("D", "F"), "E"), (("A", "F"), "E"), (("A", "C"), "E")])
+    return db, hq
+
+
+def _hub_triangle():
+    """Triangle self-join on a symmetric graph of four mutually joined hubs
+    and, for each pair of hubs, two leaves joined to both: every hub's
+    incidence (18) is at least 2 sqrt(|E|) = 15.5, so SUST starts heavy
+    whenever the start vertex is a hub."""
+    pairs = {(u, v) for u in range(4) for v in range(4) if u != v}
+    for x, (h1, h2) in enumerate(2 * list(itertools.combinations(range(4), 2)), 4):
+        pairs |= {(x, h1), (h1, x), (x, h2), (h2, x)}
+    return _tri_selfjoin(sorted(pairs))
+
+
+def _score(cp, rng):
+    """A sust_sample attempt as a number that tells its samples apart."""
+    got = sust_sample(cp, rng)
+    if got is None:
+        return 0
+    return 1 + sum(i * got[a] for i, a in enumerate(sorted(got), 1))
+
+
+def _pin(cp, attempt, stream, n=300):
+    """(sum of attempt's results, db.ops spent, sum of each trial rng's next
+    random()) over n seeded trials."""
+    total = nxt = 0.0
+    ops0 = cp.db.ops.n
+    for i in range(n):
+        rng = derive_rng(0, stream, i)
+        total += attempt(cp, rng)
+        nxt += rng.random()
+    return total, cp.db.ops.n - ops0, nxt
+
+
+def test_pins_for_branches_the_golden_fixtures_miss():
+    db, hq = _chord_5cyc()
+    cp = ComponentPlan(db, hq)
+    assert cp.fallback
+    assert [(c.kind, c.attrs) for c in cp.components] == [
+        ("cycle", ["A", "B", "C"]), ("star", ["D", "F"])]
+    assert sorted(e.attrs for e in cp.cross_edges) == [("A", "F"), ("C", "D")]
+    assert _pin(cp, sste_trial, "pin/chord") == PIN_CHORD_SSTE
+
+    db, query, _ = build("sym-5cyc")
+    cp = ComponentPlan(db, query.hypergraph)
+    assert _pin(cp, _score, "pin/5cyc") == PIN_5CYC_SAMPLE
+    assert _pin(cp, sust_trial, "pin/5cyc")[::2] == PIN_5CYC_TRIAL
+
+    db, hq = _hub_triangle()
+    cp = ComponentPlan(db, hq)
+    heavy = 2 * math.sqrt(len(db.relation("G")))
+    starts = [got["A"] for got in (sust_sample(cp, derive_rng(0, "pin/hub", i))
+                                   for i in range(3000)) if got is not None]
+    assert any(cp.incidence("G", v) >= heavy for v in starts)
+    assert _pin(cp, _score, "pin/hub") == PIN_HUB_SAMPLE
+    assert _pin(cp, sust_trial, "pin/hub")[::2] == PIN_HUB_TRIAL
+
+
+# (sum, db.ops, sum of next random()) over 300 seeded trials; the sust_trial
+# pins leave out db.ops, which test_sust_trial_charges_the_ops_of_sust_sample
+# ties to sust_sample's
+PIN_CHORD_SSTE = (461824.0, 4274, 141.02654107876418)
+PIN_5CYC_SAMPLE = (409.0, 3514, 154.51788344074214)
+PIN_5CYC_TRIAL = (1042671.3752664356, 154.51788344074214)
+PIN_HUB_SAMPLE = (71.0, 2151, 150.44085648562182)
+PIN_HUB_TRIAL = (22308.38407415472, 150.44085648562182)
+
+
+def test_sust_trial_charges_the_ops_of_sust_sample():
+    for fix in ("sym-tri", "sym-5cyc", "sym-mixed"):
+        db, query, _ = build(fix)
+        cp = ComponentPlan(db, query.hypergraph)
+        for i in range(300):
+            ops = []
+            for attempt in (sust_sample, sust_trial):
+                ops0 = db.ops.n
+                attempt(cp, derive_rng(0, "ops", i))
+                ops.append(db.ops.n - ops0)
+            assert ops[0] == ops[1], (fix, i)
