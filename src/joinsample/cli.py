@@ -151,6 +151,9 @@ def cmd_estimate(args) -> int:
     if args.boost != "none" and (args.strategy != "drs" or query.projection):
         raise CliError(EXIT_VALIDATE, "--boost needs --strategy drs on a join query")
     if query.projection:
+        for flag, on in (("--skip-nonjoin", args.skip_nonjoin), ("--median", args.median)):
+            if on:
+                raise CliError(EXIT_VALIDATE, f"{flag} needs a join query")
         if args.strategy not in ("drs", "gj"):
             raise CliError(EXIT_VALIDATE,
                            "projection estimates need a uniform strategy (drs or gj)")

@@ -286,13 +286,14 @@ def group_by_card_est(db, nq: Hypergraph, group_attrs, strategy, budget,
     plan = Plan(db, nq, elim_order=G + rest)
     remaining = frozenset(nq.attributes) - set(G)
     table = {}
+    memo = {}
     for key in keys:
         g = dict(zip(G, key))
         if not remaining:
             table[key] = 1.0
             continue
         if budget == "auto":
-            ragm = residual_agm(db, nq, plan.cover, remaining, g)
+            ragm = residual_agm(db, nq, plan.cover, remaining, g, memo)
             runs = max(1, math.ceil(len(nq.attributes) * ragm))
         else:
             runs = budget

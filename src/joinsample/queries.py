@@ -101,18 +101,27 @@ def validate(query: Hypergraph, db) -> None:
 
 
 def edge_index(db, edge: Edge, order):
-    """TrieIndex over edge's relation, keyed by QUERY attribute names: the
-    relation's columns are named by the edge's attrs, positionally."""
+    """TrieIndex over edge's relation along `order`, in QUERY attribute
+    names: the relation's columns are named by the edge's attrs,
+    positionally. Edges over one relation that read the same column order
+    get relabellings of one shared trie (see `Database.index`)."""
     return db.index(edge.relation, order, edge.attrs)
 
 
-def bound_first_index(db, edge: Edge, bound, nxt=None):
+def bound_first_index(db, edge: Edge, bound, nxt=None, memo=None):
     """Index of edge's relation whose order puts the attributes bound in
     `bound` first (sorted), then `nxt` when given, then the rest (sorted).
 
     Any set of bound attributes is then a prefix of the order, and `nxt`
-    directly follows it, ready for a projection.
+    directly follows it, ready for a projection. With a `memo` dict the
+    index is found once per (eid, bound attributes, nxt) in it.
     """
+    if memo is not None:
+        key = (edge.eid, tuple(a for a in edge.attrs if a in bound), nxt)
+        idx = memo.get(key)
+        if idx is None:
+            idx = memo[key] = bound_first_index(db, edge, bound, nxt)
+        return idx
     attrs = sorted(edge.attrs)
     front = [a for a in attrs if a in bound]
     rest = [a for a in attrs if a not in bound and a != nxt]
@@ -240,14 +249,15 @@ def agm(cover: Cover, sizes) -> AgmValue:
     return AgmValue(log)
 
 
-def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s) -> float:
+def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s, memo=None) -> float:
     """Π_{F ∈ ℰ_𝒪} |R_F ⋉ s|^{x_F} under the original cover; 0.0 if any
-    semijoin with positive weight is empty."""
+    semijoin with positive weight is empty. `memo`: bound_first_index's,
+    shared by the caller across calls on one query."""
     log = 0.0
     for e in query.edges_touching(remaining):
         x = cover.weights[e.eid]
         bound = {a: s[a] for a in e.attrs if a in s}
-        deg = bound_first_index(db, e, bound).degree(bound)
+        deg = bound_first_index(db, e, bound, memo=memo).degree(bound)
         if deg == 0:
             return 0.0
         if x:

@@ -11,11 +11,15 @@ reads is one rule, `queries.bound_first_index` (bound attributes first);
 step does only the walk.
 
 A Database owns the interner, the loaded relations, the deduplicated
-projections derived from them, and a lazy cache of indexes keyed by
-(relation, column names, attribute order). It also meters query-model
-operations: every degree / exist / sample_row / view call bumps a counter,
-which benchmark reports read as the cost measure T. Index builds are treated
-as preprocessing and are not metered.
+projections derived from them, and lazy caches keyed by what they are built
+from: one sorted row list per (source, column positions) and one trie per
+(source, column permutation), where a source is a loaded relation's name or
+a projection's (source, positions). An edge's TrieIndex relabels the shared
+trie with its own attribute names, so edges over one relation that read the
+same column order share one root. It also meters query-model operations:
+every degree / exist / sample_row / view call bumps a counter, which
+benchmark reports read as the cost measure T. Index builds are treated as
+preprocessing and are not metered.
 """
 
 from __future__ import annotations
@@ -132,6 +136,13 @@ def _build_levels(sorted_tuples, lo, hi, depth, arity):
     return node
 
 
+def _column_perm(attrs, order, arity) -> tuple:
+    """Position of each attribute of `order` among the column names `attrs`."""
+    if len(attrs) != arity or sorted(order) != sorted(attrs):
+        raise SchemaError(f"order {order} is not a permutation of columns {attrs}")
+    return tuple(attrs.index(a) for a in order)
+
+
 class TrieIndex:
     """Immutable prefix index over one relation for one attribute order,
     its columns named positionally by attrs (default: the schema)."""
@@ -139,15 +150,23 @@ class TrieIndex:
     def __init__(self, relation: Relation, order, counter=None, attrs=None):
         attrs = relation.schema if attrs is None else tuple(attrs)
         order = tuple(order)
-        if len(attrs) != relation.arity or sorted(order) != sorted(attrs):
-            raise SchemaError(f"order {order} is not a permutation of columns {attrs}")
+        perm = _column_perm(attrs, order, relation.arity)
         self.relation = relation
         self.order = order
         self._counter = counter
-        perm = [attrs.index(a) for a in order]
         reordered = sorted(tuple(t[p] for p in perm) for t in relation.tuples)
         self.root = _build_levels(reordered, 0, len(reordered), 0, len(order)) \
             if reordered else _Node()
+
+    def relabel(self, relation: Relation, order) -> TrieIndex:
+        """This trie with its levels named `order`, over `relation`: the root
+        and op counter are shared, nothing is read, sorted or built."""
+        idx = object.__new__(TrieIndex)
+        # __init__'s attributes in __init__'s order, so that the instance
+        # layout, and with it fast attribute reads, is that of a built trie
+        idx.relation, idx.order, idx._counter, idx.root = \
+            relation, tuple(order), self._counter, self.root
+        return idx
 
     def _charge(self, k=1):
         if self._counter is not None:
@@ -321,8 +340,10 @@ class Database:
     def __init__(self):
         self.interner = Interner()
         self.relations: dict[str, Relation] = {}
-        self._derived: dict[tuple, Relation] = {}
-        self._indexes: dict = {}
+        self._derived: dict[tuple, Relation] = {}  # projection key -> Relation
+        self._rows: dict[tuple, list] = {}   # (source, positions) -> sorted rows
+        self._tries: dict[tuple, TrieIndex] = {}  # (source, permutation) -> build
+        self._indexes: dict = {}  # (name, column names, order) -> TrieIndex
         self.ops = OpCounter()
 
     def load(self, name, schema, rows) -> Relation:
@@ -337,27 +358,49 @@ class Database:
         """A loaded relation by name, or a derived one by its key."""
         return self._derived[name] if isinstance(name, tuple) else self.relations[name]
 
+    def _source(self, name):
+        """What a relation's rows are built from: a loaded relation's name,
+        or for a projection key (the projected relation's source, the
+        column positions kept)."""
+        if not isinstance(name, tuple):
+            return name
+        base, attrs, inter = name
+        return self._source(base), tuple(attrs.index(a) for a in inter)
+
     def projection(self, name, attrs, keep) -> tuple:
         """Key of the deduplicated projection of relation `name`, columns
-        named `attrs`, onto those in `keep` (sorted); first use charges len(rel)."""
+        named `attrs`, onto those in `keep` (sorted); first use charges len(rel).
+        Keys that keep the same column positions share one row list."""
         inter = tuple(sorted(set(attrs) & set(keep)))
         key = (name, tuple(attrs), inter)
         if key not in self._derived:
             rel = self.relation(name)
-            pos = [attrs.index(a) for a in inter]
-            rows = sorted({tuple(t[p] for p in pos) for t in rel.tuples})
+            src = self._source(key)
+            rows = self._rows.get(src)
+            if rows is None:
+                rows = self._rows[src] = sorted({tuple(t[p] for p in src[1])
+                                                 for t in rel.tuples})
             self._derived[key] = Relation(key, inter, rows, rel.interner)
             self.ops.add(len(rel))
         return key
 
     def index(self, name, order, attrs=None) -> TrieIndex:
         """Index of a relation (name or derived key) along `order`, columns
-        named `attrs` (default, and same cache entry: the schema)."""
-        attrs = self.relation(name).schema if attrs is None else tuple(attrs)
-        key = (name, attrs, tuple(order))
+        named `attrs` (default, and same cache entry: the schema). The trie
+        is built once per (source rows, column permutation); other names
+        for it are relabellings."""
+        rel = self.relation(name)
+        attrs = rel.schema if attrs is None else tuple(attrs)
+        order = tuple(order)
+        key = (name, attrs, order)
         idx = self._indexes.get(key)
         if idx is None:
-            idx = TrieIndex(self.relation(name), order, counter=self.ops, attrs=attrs)
+            built = (self._source(name), _column_perm(attrs, order, rel.arity))
+            trie = self._tries.get(built)
+            if trie is None:
+                idx = self._tries[built] = TrieIndex(rel, order, self.ops, attrs)
+            else:
+                idx = trie.relabel(rel, order)
             self._indexes[key] = idx
         return idx
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 from .queries import Hypergraph, bound_first_index
 
 
-def _pick_attr(db, query, remaining, s):
+def _pick_attr(db, query, remaining, s, memo):
     """The remaining attribute whose smallest projection among its covering
-    edges is smallest, with those projections as (size, eid, view), sorted."""
+    edges is smallest, with those projections as (size, eid, view), sorted.
+    memo: the call's bound_first_index memo."""
     best = None
     for a in sorted(remaining):
         views = []
         for e in query.edges_containing(a):
             bound = {x: s[x] for x in e.attrs if x in s}
-            view = bound_first_index(db, e, bound, a).project((a,), bound, dedup=True)
+            view = bound_first_index(db, e, bound, a, memo).project((a,), bound, dedup=True)
             views.append((view.size(), e.eid, view))
         views.sort(key=lambda t: t[:2])
         if best is None or views[0][0] < best[0]:
@@ -41,29 +42,29 @@ def generic_join(db, query: Hypergraph, remaining=None, s=None):
     s = dict(s or {})
     out_attrs = tuple(sorted(remaining))
     results = set()
-    for binding in _enumerate(db, query, remaining, s):
+    for binding in _enumerate(db, query, remaining, s, {}):
         results.add(tuple(binding[a] for a in out_attrs))
     return results
 
 
 def generic_join_exists(db, query: Hypergraph, remaining, s) -> bool:
-    for _ in _enumerate(db, query, frozenset(remaining), dict(s)):
+    for _ in _enumerate(db, query, frozenset(remaining), dict(s), {}):
         return True
     return False
 
 
-def _enumerate(db, query, remaining, s):
+def _enumerate(db, query, remaining, s, memo):
     if not remaining:
         yield s
         return
-    attr, views = _pick_attr(db, query, remaining, s)
+    attr, views = _pick_attr(db, query, remaining, s, memo)
     smallest = views[0][2]
     rest = [view.count_of for _, _, view in views[1:]]
     sub_remaining = remaining - {attr}
     for (val,) in smallest:
         if all(count((val,)) for count in rest):
             s[attr] = val
-            yield from _enumerate(db, query, sub_remaining, s)
+            yield from _enumerate(db, query, sub_remaining, s, memo)
     s.pop(attr, None)
 
 

@@ -324,6 +324,14 @@ def test_boost_outside_drs_on_a_join_is_a_validation_error(tmp_path, capsys, fix
     assert "--boost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--skip-nonjoin", "--median"])
+def test_join_only_flag_on_a_projection_is_a_validation_error(tmp_path, capsys, flag):
+    # projection estimates always count successes; neither flag would act
+    dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
+    assert main(["estimate", dbdir, qpath, "--seed", "1", flag]) == 4
+    assert flag in capsys.readouterr().err
+
+
 def test_usage_error_for_projection_count_target(tmp_path, capsys):
     dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
     with pytest.raises(SystemExit) as exc:

@@ -274,3 +274,98 @@ def test_probes_match_brute_force(bag, seed):
                         assert row == _reference_row(ordered, idx.order, s,
                                                      random.Random(seed))
                     assert ops.n == before + 1
+
+
+@st.composite
+def _renamed_edges(draw):
+    """(schema, rows, edges): a bag of arity 1 to 3 with duplicate rows, and
+    edges over it, each naming its columns by a permutation of query
+    attributes and reading them in a permuted order."""
+    arity = draw(st.integers(1, 3))
+    schema = tuple("XYZ"[:arity])
+    value = st.integers(0, 3)
+    rows = draw(st.lists(st.tuples(*[value] * arity), min_size=1, max_size=10))
+    rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+    names = st.permutations("ABCD").map(lambda p: tuple(p[:arity]))
+    edges = draw(st.lists(st.tuples(names, st.permutations(range(arity))),
+                          min_size=2, max_size=5))
+    return schema, rows, [(attrs, tuple(attrs[p] for p in perm)) for attrs, perm in edges]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_renamed_edges(), st.integers(0, 2**32))
+def test_shared_tries_answer_as_tries_built_alone(case, seed):
+    # every edge's index comes out of the database (built once per column
+    # permutation, relabelled otherwise) and must answer every probe as a
+    # TrieIndex built from scratch for the same relation, names and order
+    schema, raw, edges = case
+    db = Database()
+    rel = db.load("E", schema, raw)
+    values = sorted({v for t in rel.tuples for v in t}) + [len(db.interner)]
+    perms = set()
+    for attrs, order in edges:
+        shared = db.index("E", order, attrs)
+        alone = TrieIndex(rel, order, attrs=attrs)
+        assert shared.order == alone.order == order and shared.relation is rel
+        perms.add(tuple(attrs.index(a) for a in order))
+        for k in range(len(order) + 1):
+            for prefix in itertools.product(values, repeat=k):
+                s = dict(zip(order, prefix))
+                before = db.ops.n
+                deg = shared.degree(s)
+                assert deg == alone.degree(s) and db.ops.n == before + 1
+                if k == len(order):
+                    assert shared.exist(s) == alone.exist(s) == (deg > 0)
+                    continue
+                if deg:
+                    ra, rb = random.Random(seed), random.Random(seed)
+                    assert shared.sample_row(s, ra) == alone.sample_row(s, rb)
+                    assert ra.getstate() == rb.getstate()
+                for dedup in (True, False):
+                    va = shared.project(order[k:k + 1], s, dedup)
+                    vb = alone.project(order[k:k + 1], s, dedup)
+                    assert list(va.items()) == list(vb.items())
+                    assert va.size() == vb.size() and va.rows() == vb.rows()
+                    assert all(va.count_of((v,)) == vb.count_of((v,)) for v in values)
+    # one trie per column permutation, whatever the names
+    roots = {id(db.index("E", order, attrs).root) for attrs, order in edges}
+    assert len(roots) == len(perms) == len(db._tries)
+
+
+def test_self_join_cycle_builds_one_trie_per_column_order(monkeypatch):
+    from joinsample.queries import edge_index
+
+    builds = []
+    init = TrieIndex.__init__
+    monkeypatch.setattr(TrieIndex, "__init__",
+                        lambda self, *a, **kw: builds.append(a) or init(self, *a, **kw))
+    db = Database()
+    rel = db.load("E", ("X", "Y"), [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1), (1, 2)])
+    cycle = Hypergraph("ABCD", [(("A", "B"), "E"), (("B", "C"), "E"),
+                                (("C", "D"), "E"), (("D", "A"), "E")])
+    idxs = [edge_index(db, e, order) for e in cycle.edges
+            for order in itertools.permutations(e.attrs)]
+    # 4 edges x 2 orders resolve to 2 roots, and only those 2 went through
+    # TrieIndex.__init__; the other 6 are relabellings
+    assert len(idxs) == 8 and len({id(i.root) for i in idxs}) == 2
+    assert len(builds) == 2
+    assert [i.order for i in idxs[:2]] == [("A", "B"), ("B", "A")]
+    assert all(i.relation is rel for i in idxs)
+
+    # two edges of E projected onto the same column (Y): two keys, each
+    # charging len(E) on first use, over one row list
+    ops = db.ops.n
+    k1 = db.projection("E", ("A", "B"), {"B"})
+    k2 = db.projection("E", ("B", "C"), {"C", "D"})
+    assert k1 != k2 and db.ops.n == ops + 2 * len(rel)
+    p1, p2 = db.relation(k1), db.relation(k2)
+    assert p1 is not p2 and (p1.schema, p2.schema) == (("B",), ("C",))
+    assert p1.tuples is p2.tuples
+    assert sorted(db.decode_tuple(t) for t in p1.tuples) == [(1,), (2,), (3,)]
+    assert db.projection("E", ("A", "B"), ("B",)) == k1 and db.ops.n == ops + 2 * len(rel)
+    # the other column is another row list; tries over the shared one, one build
+    k3 = db.projection("E", ("A", "B"), {"A"})
+    assert db.relation(k3).tuples is not p1.tuples
+    assert db.index(k1, ("B",)).root is db.index(k2, ("C",)).root
+    assert len(builds) == 3
+    assert db.index(k2, ("C",)).relation is p2
