@@ -78,6 +78,8 @@ class ProjectionPlan:
             for plan, strat in self.parts:
                 self.p0 *= per_answer_probability(plan, strat)
 
+        # the residual's bound-first indexes, found once for every attempt
+        self.memo = {}
         rest = [(e.attrs, e.relation) for e in hq.edges if e.attr_set - oset]
         if rest:
             covered = set()
@@ -108,7 +110,8 @@ def sample_projection(pplan: ProjectionPlan, rng: random.Random):
             return None
         s.update(got)
     if pplan.residual is not None:
-        if not generic_join_exists(pplan.db, pplan.residual, pplan.free, s):
+        if not generic_join_exists(pplan.db, pplan.residual, pplan.free, s,
+                                   pplan.memo):
             return None
     return s
 

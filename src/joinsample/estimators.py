@@ -22,6 +22,11 @@ Strategies:
                 thinned so the kept probability is the AGM-bound ratio. No
                 per-candidate table is ever materialized.
 
+A step's structure depends only on the query and the attributes still
+unbound: the next attribute and its edges, the AGM terms, wander's edge and
+the probes it makes. Plan.step_record builds it once per remaining set, so
+a step does only the data-dependent work (probes, draws, arithmetic).
+
 The driver turns trials into an (epsilon, delta) guarantee by Chebyshev with
 a geometric search on the assumed output size, or counts successes of the
 uniform sampler.
@@ -69,11 +74,17 @@ class Plan:
     the probe: index_for per edge (its edge order), bound_index per (edge,
     bound attributes) (queries.bound_first_index, the one order rule).
 
+    step_record(remaining) is the step at one depth of a trial: a _Step
+    memoised per remaining set, holding what a step reads that depends
+    only on the query and remaining. Records hold indexes but no degree,
+    value or table, so emptying _deg_cache leaves the plan cold.
+
     _deg_cache is the plan's one probe memo. It holds edge degrees, keyed
     by (eid, column values), and step tables, keyed by a strategy tag
     ("gj" or "alley"), the attribute a, GJ's remaining set and the values
-    bound on near[a], every attribute of the edges containing a. The tag
-    is a string and an eid an int, so the two kinds of key never meet.
+    bound on the attributes of the edges containing a (the record's near).
+    The tag is a string and an eid an int, so the two kinds of key never
+    meet.
     Emptying the memo forgets both; no probe's op charge depends on it.
     """
 
@@ -95,7 +106,8 @@ class Plan:
         ) if skip_nonjoin else frozenset()
         order = tuple(elim_order) if elim_order else min_degree_order(query)
         self.elim = tuple(a for a in order if a not in self.skipped)
-        if set(self.elim) != set(query.attributes) - self.skipped:
+        self.sampled = frozenset(self.elim)
+        if self.sampled != set(query.attributes) - self.skipped:
             raise QueryError("elimination order must cover every sampled attribute")
         pos = {a: i for i, a in enumerate(self.elim)}
         # DRS, GJ and alley sample rows along these orders: any other order
@@ -106,23 +118,26 @@ class Plan:
                 sorted(e.attrs, key=lambda a: (a in self.skipped, pos.get(a, 0), a))
             )
         self.e_I = {a: query.edges_containing(a) for a in query.attributes}
-        # agm_ratio's (eid, float weight, attrs) per weighted edge, e_I order
-        self._agm_terms = {} if self.empty else {
-            a: [(e.eid, float(self.cover.weights[e.eid]), e.attr_set)
-                for e in es if self.cover.weights[e.eid]]
-            for a, es in self.e_I.items()}
-        # every attribute of the edges containing a: what a step on a reads
-        self.near = {a: tuple(dict.fromkeys(x for e in es for x in e.attrs))
-                     for a, es in self.e_I.items()}
+        # leaf_value's skipped columns per edge that has any, in edge order
+        self._leaf = [(e, rest) for e in query.edges if (rest := tuple(
+            a for a in self.edge_order[e.eid] if a in self.skipped))]
         self._deg_cache = {}
         self._indexes = {}   # eid -> index along edge_order
         self._bound = {}     # (eid, bound attrs) -> bound-first index
+        self._steps = {}     # remaining -> _Step
 
     def next_attr(self, remaining):
         for a in self.elim:
             if a in remaining:
                 return a
         raise LookupError(f"no sampled attribute left in {sorted(remaining)}")
+
+    def step_record(self, remaining) -> _Step:
+        """The step record for the frozenset remaining, built once."""
+        rec = self._steps.get(remaining)
+        if rec is None:
+            rec = self._steps[remaining] = _Step(self, remaining)
+        return rec
 
     def index_for(self, edge):
         """The edge's index along its edge order, built or found once."""
@@ -147,7 +162,8 @@ class Plan:
         Keyed by the edge's column values, None where unbound (values are
         interned ints); a miss walks bound_index's index. The op meter is
         charged whether or not the cache hits: the cache is a shortcut of
-        this implementation, not of the cost model.
+        this implementation, not of the cost model. WanderJoin's resolved
+        probes (_degree) read and fill the same entries.
         """
         key = (edge.eid, *map(s.get, edge.attrs))
         self.db.ops.n += 1
@@ -185,10 +201,7 @@ class Plan:
         if not self.skipped:
             return 1.0
         prod = 1.0
-        for e in self.query.edges:
-            rest = tuple(a for a in self.edge_order[e.eid] if a in self.skipped)
-            if not rest:
-                continue
+        for e, rest in self._leaf:
             bound = {a: s[a] for a in e.attrs if a in s}
             view = self.index_for(e).project(rest, bound, dedup=True)
             n = view.size()
@@ -196,9 +209,6 @@ class Plan:
                 return 0.0
             prod *= n
         return prod
-
-    def membership(self, edges, s) -> bool:
-        return all(self.edge_degree(e, s) > 0 for e in edges)
 
     def agm_ratio(self, remaining, s, attr, value, deg1, deg2) -> float:
         """AGM(ℋ_{s ⊎ {attr:value}}) / AGM(ℋ_s) under the fixed cover.
@@ -208,18 +218,57 @@ class Plan:
         Edges whose remaining-attribute set is exactly {attr} leave the
         denominator only, contributing 1/deg1^x.
         """
+        return _ratio(self.agm_terms(remaining, attr), deg1, deg2)
+
+    def agm_terms(self, remaining, attr):
+        """agm_ratio's (position in e_I[attr], eid, float weight, keeps) per
+        weighted edge containing attr, in e_I order; keeps is whether the
+        edge has attributes left, remaining or skipped, once attr is bound."""
+        if self.empty:
+            return ()
         after = set(remaining) | self.skipped
         after.discard(attr)
-        log = 0.0
-        for eid, x, attr_set in self._agm_terms[attr]:
-            d2 = deg2[eid]
-            if d2 == 0:
-                return 0.0
-            if attr_set & after:
-                log += x * (math.log(d2) - math.log(deg1[eid]))
-            else:
-                log -= x * math.log(deg1[eid])
-        return math.exp(log)
+        weights = self.cover.weights
+        return tuple((i, e.eid, float(weights[e.eid]), bool(e.attr_set & after))
+                     for i, e in enumerate(self.e_I[attr]) if weights[e.eid])
+
+
+def _ratio(terms, deg1, deg2) -> float:
+    """agm_ratio over resolved terms; deg1 and deg2 map eid -> degree."""
+    log = 0.0
+    for _, eid, x, keeps in terms:
+        d2 = deg2[eid]
+        if d2 == 0:
+            return 0.0
+        if keeps:
+            log += x * (math.log(d2) - math.log(deg1[eid]))
+        else:
+            log -= x * math.log(deg1[eid])
+    return math.exp(log)
+
+
+class _Step:
+    """One depth of a trial: what a step on `remaining` reads that depends
+    only on the query and remaining, never on data.
+
+    attr, edges, near: the next attribute in the elimination order, the
+    edges containing it (e_I order) and every attribute of those edges,
+    all a step on attr reads of the binding (DRS, GJ, alley).
+    terms: plan.agm_terms(remaining, attr).
+    left: remaining once a step bound a tuple of attributes, by that tuple:
+    (attr,), and wander's I once its record is built.
+    walk: WanderJoin's record, built on first use.
+    """
+
+    __slots__ = ("attr", "edges", "near", "terms", "left", "walk")
+
+    def __init__(self, plan, remaining):
+        self.attr = a = plan.next_attr(remaining)
+        self.edges = plan.e_I[a]
+        self.near = tuple(dict.fromkeys(x for e in self.edges for x in e.attrs))
+        self.terms = plan.agm_terms(remaining, a)
+        self.left = {(a,): remaining - {a}}
+        self.walk = None
 
 
 def min_degree_order(query: Hypergraph):
@@ -244,26 +293,76 @@ class WanderJoin:
     ratio), so duplicate rows do not bias the estimate. Edges that become
     fully bound before their turn were already membership-checked at the step
     that bound their last attribute.
+
+    The step reads its edge, its probes and their indexes off the step
+    record's _Walk, which assumes s binds exactly the sampled attributes
+    outside remaining (generic_card_est checks this once per call).
     """
 
     name = "wander"
     uniform = False
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
-        edge = next(e for e in plan.query.edges if e.attr_set & remaining)
-        I = tuple(a for a in sorted(edge.attrs) if a in remaining)
-        base = plan.edge_degree(edge, s)
+        rec = plan.step_record(remaining)
+        w = rec.walk
+        if w is None:
+            w = rec.walk = _Walk(plan, remaining)
+            rec.left[w.I] = remaining - set(w.I)
+        base = _degree(plan, w.base, s)
         if base == 0:
-            return StepOutcome(I, [])
-        idx = plan.bound_index(edge, s)
-        row = idx.sample_row(s, rng)
-        frag = {a: v for a, v in zip(idx.order, row) if a in I}
+            return StepOutcome(w.I, [])
+        row = w.index._descend([s[a] for a in w.prefix], rng)
+        frag = {a: row[i] for a, i in w.take}
         s2 = {**s, **frag}
-        p = plan.edge_degree(edge, s2) / base
-        member = plan.membership(
-            [e for e in plan.query.edges_touching(I) if e.eid != edge.eid], s2
-        )
-        return StepOutcome(I, [(frag, p, member)])
+        p = _degree(plan, w.own, s2) / base
+        member = all(_degree(plan, probe, s2) > 0 for probe in w.touching)
+        return StepOutcome(w.I, [(frag, p, member)])
+
+
+class _Walk:
+    """WanderJoin's step on `remaining`, for a binding of exactly the
+    sampled attributes outside it.
+
+    I: the attributes of the first edge with any in remaining, sorted.
+    base: that edge's degree probe before the step. A probe is (eid, edge
+    attrs, bound-first index, bound prefix of the index order).
+    index, prefix: base's index, which the row is drawn from, and prefix.
+    take: (attribute, position in the drawn row) for each of I.
+    own: the edge's probe once I is bound; touching: the probes of the
+    other edges meeting I, in eid order, once I is bound.
+    """
+
+    __slots__ = ("I", "base", "index", "prefix", "take", "own", "touching")
+
+    def __init__(self, plan, remaining):
+        edge = next(e for e in plan.query.edges if e.attr_set & remaining)
+        self.I = tuple(a for a in sorted(edge.attrs) if a in remaining)
+        bound = plan.sampled - remaining
+        self.base = _probe(plan, edge, bound)
+        _, _, self.index, self.prefix = self.base
+        self.take = tuple((a, i) for i, a in enumerate(self.index.order) if a in self.I)
+        bound = bound | set(self.I)
+        self.own = _probe(plan, edge, bound)
+        others = [e for e in plan.query.edges_touching(self.I) if e.eid != edge.eid]
+        self.touching = tuple(_probe(plan, e, bound) for e in others)
+
+
+def _probe(plan, edge, bound):
+    """A degree probe of edge under a binding of the attributes `bound`."""
+    idx = plan.bound_index(edge, bound)
+    return edge.eid, edge.attrs, idx, tuple(a for a in idx.order if a in bound)
+
+
+def _degree(plan, probe, s) -> int:
+    """Plan.edge_degree through a resolved probe: the same memo key, value
+    and op charge, with no index lookup."""
+    eid, attrs, idx, prefix = probe
+    key = (eid, *map(s.get, attrs))
+    plan.db.ops.n += 1
+    deg = plan._deg_cache.get(key)
+    if deg is None:
+        deg = plan._deg_cache[key] = idx._walk([s[a] for a in prefix])[1]
+    return deg
 
 
 class AlleyPlus:
@@ -271,10 +370,10 @@ class AlleyPlus:
 
     A step's candidate set Ω is the intersection of the projections of the
     edges containing the next attribute a, scanned from the smallest. Ω
-    depends only on a and the values bound on plan.near[a], so it is kept
-    in the plan's probe memo and shared by every b. Each step charges one
-    op per projection and max(1, |smallest|) for the scan, memo hit or not,
-    then keeps ceil(b·|Ω|) of Ω.
+    depends only on a and the values bound on the step record's near, so
+    it is kept in the plan's probe memo and shared by every b. Each step
+    charges one op per projection and max(1, |smallest|) for the scan, memo
+    hit or not, then keeps ceil(b·|Ω|) of Ω.
     """
 
     name = "alley"
@@ -286,8 +385,9 @@ class AlleyPlus:
         self.b = b
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
-        a = plan.next_attr(remaining)
-        omega, scan = plan.step_table(("alley", a, *map(s.get, plan.near[a])), a,
+        rec = plan.step_record(remaining)
+        a = rec.attr
+        omega, scan = plan.step_table(("alley", a, *map(s.get, rec.near)), a,
                                       lambda: _intersection(plan, a, s))
         plan.db.ops.n += scan
         n = len(omega)
@@ -322,9 +422,9 @@ class GJSample:
     candidate whose running sum exceeds u. Probabilities are the same floats
     agm_ratio computes (same edge order, same expressions).
 
-    A table reads only a, remaining and the values bound on plan.near[a],
-    so it is kept in the plan's probe memo under those and built once per
-    plan; a later step with the same key only draws from it.
+    A table reads only a, remaining and the values bound on the step
+    record's near, so it is kept in the plan's probe memo under those and
+    built once per plan; a later step with the same key only draws from it.
 
     The op meter is charged for the full table on every step, memo hit or
     not: one op per projection, one degree probe per edge for deg1,
@@ -340,10 +440,11 @@ class GJSample:
     uniform = True
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
-        a = plan.next_attr(remaining)
-        key = ("gj", a, remaining, *map(s.get, plan.near[a]))
+        rec = plan.step_record(remaining)
+        a = rec.attr
+        key = ("gj", a, remaining, *map(s.get, rec.near))
         cands, probs, cum, lookups, cost = plan.step_table(
-            key, a, lambda: _gj_table(plan, a, remaining, s))
+            key, a, lambda: _gj_table(plan, rec, s))
         plan.db.ops.n += cost
         u = rng.random()
         i = bisect.bisect_right(cum, u)   # the first candidate with u < acc
@@ -354,11 +455,11 @@ class GJSample:
         return StepOutcome((a,), [])  # failure symbol: leftover mass, or Ω empty
 
 
-def _gj_table(plan, a, remaining, s):
-    """GJSample's table on a: (candidates, probabilities, running sums,
-    deg2 lookup per edge with None for Ω's own view, the step's op charge
-    beyond the projections)."""
-    views = plan.views(a, s)
+def _gj_table(plan, rec, s):
+    """GJSample's table on the record's attribute: (candidates,
+    probabilities, running sums, deg2 lookup per edge with None for Ω's own
+    view, the step's op charge beyond the projections)."""
+    views = plan.views(rec.attr, s)
     smallest = min(views, key=View.size)
     n = smallest.size()
     cost = len(views) + max(1, n) + len(views) * n
@@ -366,14 +467,10 @@ def _gj_table(plan, a, remaining, s):
     lookups = [None if view is smallest else view.count_of for view in views]
     if n == 0:
         return (), (), (), lookups, cost
-    after = set(remaining) | plan.skipped
-    after.discard(a)
     # per weighted edge, in agm_ratio's order: lookup, float(x), log deg1,
     # and whether the edge keeps attributes after a
-    weights = plan.cover.weights
-    terms = [(lookup, float(weights[e.eid]), math.log(view.rows()),
-              bool(e.attr_set & after))
-             for e, view, lookup in zip(plan.e_I[a], views, lookups) if weights[e.eid]]
+    terms = [(lookups[i], x, math.log(views[i].rows()), keeps)
+             for i, _, x, keeps in rec.terms]
     probs, cum = [], []
     acc = 0.0
     for c, own in smallest.items():
@@ -421,8 +518,8 @@ class DRS:
         self.boost = boost
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
-        a = plan.next_attr(remaining)
-        edges = plan.e_I[a]
+        rec = plan.step_record(remaining)
+        a, edges = rec.attr, rec.edges
         ne = len(edges)
         fstar = edges[rng.randrange(ne)]
         deg1 = {e.eid: plan.edge_degree(e, s) for e in edges}
@@ -446,7 +543,7 @@ class DRS:
         is_max = fstar in tied
         if self.boost != "any-edge" and not is_max:
             return StepOutcome((a,), [])
-        ratio = plan.agm_ratio(remaining, s, a, c, deg1, deg2)
+        ratio = _ratio(rec.terms, deg1, deg2)
         lead = tied[0]
         rdeg_max = deg2[lead.eid] / deg1[lead.eid]
         keep = 0.0 if rdeg_max == 0 else ratio / rdeg_max
@@ -471,20 +568,30 @@ class DRS:
 
 
 def generic_card_est(plan: Plan, strategy, remaining=None, s=None, rng=None) -> float:
-    """Unbiased estimate of the distinct-answer count extending s."""
+    """Unbiased estimate of the distinct-answer count extending s.
+
+    remaining (default: every sampled attribute) and the attributes s binds
+    must split the plan's sampled attributes; QueryError otherwise.
+    """
     if plan.empty:
         return 0.0
-    if remaining is None:
-        remaining = frozenset(plan.elim)
+    remaining = plan.sampled if remaining is None else frozenset(remaining)
+    s = dict(s or {})
+    # every step record assumes this split; a wander step would otherwise
+    # probe with the wrong bound prefix
+    if not remaining <= plan.sampled or s.keys() != plan.sampled - remaining:
+        raise QueryError(
+            f"remaining {sorted(remaining)} and binding {sorted(s)} must "
+            f"split the sampled attributes {sorted(plan.sampled)}")
     rng = rng if rng is not None else random.Random()
-    return _estimate(plan, strategy, frozenset(remaining), dict(s or {}), rng)
+    return _estimate(plan, strategy, remaining, s, rng)
 
 
 def _estimate(plan, strategy, remaining, s, rng):
     if not remaining:
         return plan.leaf_value(s)
     out = strategy.step(plan, remaining, s, rng)
-    sub = remaining - set(out.attrs)
+    sub = plan.step_record(remaining).left[out.attrs]
     total = 0.0
     for frag, p, member in out.samples:
         if not member:
@@ -503,17 +610,17 @@ def uniform_sample(plan: Plan, strategy, rng):
     _check_uniform(plan, strategy)
     if plan.empty:
         return None
-    remaining = set(plan.elim)
+    remaining = plan.sampled
     s = {}
     while remaining:
-        out = strategy.step(plan, frozenset(remaining), s, rng)
+        out = strategy.step(plan, remaining, s, rng)
         if not out.samples:
             return None
         frag, _, member = out.samples[0]
         if not member:
             return None
         s.update(frag)
-        remaining -= set(out.attrs)
+        remaining = plan.step_record(remaining).left[out.attrs]
     return s
 
 

@@ -209,11 +209,17 @@ class TrieIndex:
 
     def sample_row(self, s, rng: random.Random):
         """Uniform row of R ⋉ s (multiplicity-weighted); tuple in index order."""
+        return self._descend([s[a] for a in self._prefix_attrs(s)], rng)
+
+    def _descend(self, out, rng: random.Random):
+        """sample_row once its binding is checked: a uniform row under the
+        bound prefix values `out`, a list it extends in place. The one row
+        descent; callers that resolved the prefix themselves call it directly."""
         self._charge()
-        out = [s[a] for a in self._prefix_attrs(s)]
         node, total = self._walk(out)
         if total == 0:
-            raise EmptySemijoinError(f"empty semijoin under {s}")
+            raise EmptySemijoinError(
+                f"empty semijoin under {dict(zip(self.order, out))}")
         while node is not None:
             x = rng.randrange(node.cum[-1])
             i = bisect.bisect_right(node.cum, x) - 1

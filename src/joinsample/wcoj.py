@@ -47,8 +47,12 @@ def generic_join(db, query: Hypergraph, remaining=None, s=None):
     return results
 
 
-def generic_join_exists(db, query: Hypergraph, remaining, s) -> bool:
-    for _ in _enumerate(db, query, frozenset(remaining), dict(s), {}):
+def generic_join_exists(db, query: Hypergraph, remaining, s, memo=None) -> bool:
+    """Whether s extends to an answer over remaining. memo: a
+    bound_first_index memo to keep across calls on the same query (default:
+    one for this call)."""
+    for _ in _enumerate(db, query, frozenset(remaining), dict(s),
+                        {} if memo is None else memo):
         return True
     return False
 

@@ -57,3 +57,20 @@ def test_exact_sampler_checks_telescoping_identity():
             print("raised", exc)
     """)
     assert out == "raised weight telescoping identity failed"
+
+
+def test_trial_rejects_a_binding_that_does_not_split_the_attributes():
+    # s binds A, but remaining still holds every attribute: a wander step
+    # would probe as if A were unbound and return a wrong estimate
+    out = _run_optimized("""
+        from joinsample import (
+            Plan, QueryError, WanderJoin, derive_rng, generic_card_est)
+        plan = Plan(db, hq)
+        try:
+            generic_card_est(plan, WanderJoin(), None, {"A": db.interner.intern(1)},
+                             derive_rng(0, "o", 0))
+            print("no error")
+        except QueryError as exc:
+            print("raised", exc)
+    """)
+    assert out.startswith("raised remaining") and "split the sampled attributes" in out

@@ -154,3 +154,26 @@ def test_gj_strategy_variant():
     p_hat = rep.successes / rep.trials
     se = (p_hat * (1 - p_hat) / rep.trials) ** 0.5 / pp.p0
     assert abs(rep.estimate - out) < 4.5 * se + 1e-9
+
+
+def test_attempts_share_one_residual_index_memo(monkeypatch):
+    # the residual check finds each bound-first index once per plan, not
+    # once per attempt: once a first batch has filled the plan's memos, a
+    # second batch of attempts looks up no index
+    from joinsample import queries
+    db, query, _ = build("proj-path")
+    pp = ProjectionPlan(db, query)
+    assert pp.residual is not None
+
+    def attempts(stream):
+        got = [sample_projection(pp, derive_rng(0, stream, i)) for i in range(300)]
+        assert sum(g is not None for g in got) > 1
+
+    attempts("warm")
+    assert pp.memo
+    calls = []
+    real = queries.edge_index
+    monkeypatch.setattr(queries, "edge_index",
+                        lambda *args: calls.append(args) or real(*args))
+    attempts("counted")
+    assert calls == []
