@@ -258,9 +258,18 @@ def _user_ghd(query) -> GHD:
         raise CliError(EXIT_VALIDATE, f"malformed ghd entry: {exc}")
 
 
+def _reject_projection(query, what):
+    """Exit 4 on a projection query: `what` counts full join answers."""
+    if query.projection:
+        raise CliError(EXIT_VALIDATE, f"{what} needs a join query; this one "
+                       f"projects onto {','.join(sorted(query.projection))}")
+
+
 def cmd_ghd(args) -> int:
     db, query, digest = _load_inputs(args)
     hq = query.hypergraph
+    if args.estimate:
+        _reject_projection(query, "ghd --estimate")
     report = _base_report(args, "ghd", digest)
     if query.user_ghd is not None:
         chosen = _user_ghd(query)
@@ -311,6 +320,7 @@ def _bench_one(db, hq, name, trials, seed, out):
 
 def cmd_bench(args) -> int:
     db, query, digest = _load_inputs(args)
+    _reject_projection(query, "bench")
     hq = query.hypergraph
     names = [s.strip() for s in args.strategies.split(",") if s.strip()]
     known = {"wander", "alley", "gj", "drs", "sste"}

@@ -25,7 +25,8 @@ Strategies:
 A step's structure depends only on the query and the attributes still
 unbound: the next attribute and its edges, the AGM terms, wander's edge and
 the probes it makes. Plan.step_record builds it once per remaining set, so
-a step does only the data-dependent work (probes, draws, arithmetic).
+a step does only the data-dependent work (probes, draws, arithmetic). The
+bound-first indexes it probes are kept by the database, for every plan.
 
 The driver turns trials into an (epsilon, delta) guarantee by Chebyshev with
 a geometric search on the assumed output size, or counts successes of the
@@ -70,9 +71,10 @@ class Plan:
     returns the product of their per-edge distinct-extension counts instead
     of 1.
 
-    Each probe's index is resolved once per plan, so a trial step does only
-    the probe: index_for per edge (its edge order), bound_index per (edge,
-    bound attributes) (queries.bound_first_index, the one order rule).
+    A probe finds its index with one dict read: index_for keeps each
+    edge's index along its edge order per plan, and bound_index reads the
+    bound-first index (queries.bound_first_index, the one order rule),
+    which the database keeps for every plan.
 
     step_record(remaining) is the step at one depth of a trial: a _Step
     memoised per remaining set, holding what a step reads that depends
@@ -123,7 +125,6 @@ class Plan:
             a for a in self.edge_order[e.eid] if a in self.skipped))]
         self._deg_cache = {}
         self._indexes = {}   # eid -> index along edge_order
-        self._bound = {}     # (eid, bound attrs) -> bound-first index
         self._steps = {}     # remaining -> _Step
 
     def next_attr(self, remaining):
@@ -149,12 +150,8 @@ class Plan:
 
     def bound_index(self, edge, s):
         """The bound-first index of edge under binding s, whose order starts
-        with the attributes s binds; found once per (edge, bound attrs)."""
-        attrs = tuple(a for a in edge.attrs if a in s)
-        idx = self._bound.get((edge.eid, attrs))
-        if idx is None:
-            idx = self._bound[edge.eid, attrs] = bound_first_index(self.db, edge, attrs)
-        return idx
+        with the attributes s binds."""
+        return bound_first_index(self.db, edge, s)
 
     def edge_degree(self, edge, s) -> int:
         """|R_F ⋉ s| restricted to the attrs of F bound in s, memoized.

@@ -59,24 +59,27 @@ class WeightIndex:
             self.rows[t] = sorted(counts)
             self.mult[t] = dict(counts)
         self.weight = {}   # node -> {row: int}
-        self.slots = {}    # (parent, child) -> {key: (rows, cum)}
+        self.links = {}    # child -> see _link
         children = {t: [] for t in range(len(edges))}
         for c in tree.bottomup:
             p = tree.parent[c]
             if p is not None:
                 children[p].append(c)
         self.children = children
-        for t in tree.bottomup:
-            e = edges[t]
+        for t in tree.bottomup:   # children before their parent
+            links = [self.links[c] for c in children[t]]
             w = {}
             for row in self.rows[t]:
                 acc = self.mult[t][row]
-                for c in children[t]:
-                    acc *= self._slot_total(t, c, row)
+                for pos, table in links:
+                    got = table.get(tuple(row[i] for i in pos))
+                    acc *= got[1][-1] if got else 0
                     if acc == 0:
                         break
                 w[row] = _check(acc)
             self.weight[t] = w
+            if tree.parent[t] is not None:
+                self.links[t] = self._link(tree.parent[t], t)
         root = tree.root
         self.root_rows = [r for r in self.rows[root] if self.weight[root][r]]
         cum = [0]
@@ -85,43 +88,21 @@ class WeightIndex:
         self.root_cum = cum
         self.total = _check(cum[-1])
 
-    def _shared(self, p, c):
+    def _link(self, p, c):
+        """Child c's link to its parent p: the positions of their shared
+        attributes in p's rows, and c's weighted rows grouped by those
+        attributes' values, each group with its cumulative weights."""
         ep, ec = self.query.edges[p], self.query.edges[c]
-        return tuple(a for a in ec.attrs if a in ep.attr_set)
-
-    def _key_of(self, node, row, shared):
-        e = self.query.edges[node]
-        pos = {a: i for i, a in enumerate(e.attrs)}
-        return tuple(row[pos[a]] for a in shared)
-
-    def _slot_total(self, p, c, prow) -> int:
-        table = self._slot_table(p, c)
-        shared = self._shared(p, c)
-        key = self._key_of(p, prow, shared)
-        got = table.get(key)
-        return got[1][-1] if got else 0
-
-    def _slot_table(self, p, c):
-        table = self.slots.get((p, c))
-        if table is not None:
-            return table
-        shared = self._shared(p, c)
-        groups = {}
-        for row in self.rows[c]:
-            w = self.weight[c][row]
-            if w == 0:
-                continue
-            key = self._key_of(c, row, shared)
-            groups.setdefault(key, []).append(row)
+        shared = [a for a in ec.attrs if a in ep.attr_set]
+        cpos = [ec.attrs.index(a) for a in shared]
+        weight = self.weight[c]
         table = {}
-        for key, rows in groups.items():
-            cum = [0]
-            for r in rows:
-                cum.append(cum[-1] + self.weight[c][r])
-            _check(cum[-1])
-            table[key] = (rows, cum)
-        self.slots[(p, c)] = table
-        return table
+        for row in self.rows[c]:
+            if weight[row]:
+                rows, cum = table.setdefault(tuple(row[i] for i in cpos), ([], [0]))
+                rows.append(row)
+                cum.append(_check(cum[-1] + weight[row]))
+        return tuple(ep.attrs.index(a) for a in shared), table
 
 
 def preprocess_weights(db, query: Hypergraph) -> WeightIndex:
@@ -148,9 +129,8 @@ def exact_uniform_sample(widx: WeightIndex, rng: random.Random) -> dict:
     s_product = 1
     for p in tree.topdown:
         for c in widx.children[p]:
-            table = widx._slot_table(p, c)
-            key = widx._key_of(p, chosen[p], widx._shared(p, c))
-            rows, cum = table[key]
+            pos, table = widx.links[c]
+            rows, cum = table[tuple(chosen[p][i] for i in pos)]
             x = rng.randrange(cum[-1])
             widx.db.ops.add(1)
             j = bisect.bisect_right(cum, x) - 1

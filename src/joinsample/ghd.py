@@ -286,14 +286,13 @@ def group_by_card_est(db, nq: Hypergraph, group_attrs, strategy, budget,
     plan = Plan(db, nq, elim_order=G + rest)
     remaining = frozenset(nq.attributes) - set(G)
     table = {}
-    memo = {}
     for key in keys:
         g = dict(zip(G, key))
         if not remaining:
             table[key] = 1.0
             continue
         if budget == "auto":
-            ragm = residual_agm(db, nq, plan.cover, remaining, g, memo)
+            ragm = residual_agm(db, nq, plan.cover, remaining, g)
             runs = max(1, math.ceil(len(nq.attributes) * ragm))
         else:
             runs = budget
@@ -348,17 +347,18 @@ def simple_aggro_yannakakis(ghd: GHD, tables) -> float:
 
 
 def _shortcut_nodes(query: Hypergraph, ghd: GHD) -> dict:
-    """Nodes where one edge covers the bag, with the chosen edge.
+    """Nodes where one edge covers the bag, with the chosen edge: one whose
+    attributes equal the bag if any does, else the least eid.
 
     Dropping the other projections there is sound only if every edge fully
-    inside the bag is still enforced at some non-shortcut node (or at a node
-    whose bag equals that edge). Offenders lose the shortcut iteratively.
+    inside the bag is still enforced at another node: one that samples, or
+    one that chose that very edge. Offenders lose the shortcut iteratively.
     """
     chosen = {}
     for t, bag in enumerate(ghd.bags):
         covering = [e for e in query.edges if bag <= e.attr_set]
         if covering:
-            chosen[t] = min(covering, key=lambda e: e.eid)
+            chosen[t] = min(covering, key=lambda e: (e.attr_set != bag, e.eid))
     while True:
         demote = None
         for t in sorted(chosen):
@@ -370,7 +370,7 @@ def _shortcut_nodes(query: Hypergraph, ghd: GHD) -> dict:
                 for t2, bag2 in enumerate(ghd.bags):
                     if t2 == t or not (e.attr_set <= bag2):
                         continue
-                    if t2 not in chosen or bag2 == e.attr_set:
+                    if t2 not in chosen or chosen[t2].eid == e.eid:
                         enforced = True
                         break
                 if not enforced:

@@ -56,6 +56,8 @@ class Hypergraph:
         ]
         if not self.edges:
             raise QueryError("query has no edges")
+        if len(set(self.attributes)) != len(self.attributes):
+            raise QueryError(f"attributes repeat a name: {list(self.attributes)}")
         covered = set()
         for e in self.edges:
             if not e.attrs:
@@ -108,25 +110,25 @@ def edge_index(db, edge: Edge, order):
     return db.index(edge.relation, order, edge.attrs)
 
 
-def bound_first_index(db, edge: Edge, bound, nxt=None, memo=None):
+def bound_first_index(db, edge: Edge, bound, nxt=None):
     """Index of edge's relation whose order puts the attributes bound in
     `bound` first (sorted), then `nxt` when given, then the rest (sorted).
 
     Any set of bound attributes is then a prefix of the order, and `nxt`
-    directly follows it, ready for a projection. With a `memo` dict the
-    index is found once per (eid, bound attributes, nxt) in it.
+    directly follows it, ready for a projection. The one rule for a probe's
+    index: the database keeps its answer per (relation, edge attributes,
+    bound attributes, nxt), so every plan, join and check on that database
+    finds each index once.
     """
-    if memo is not None:
-        key = (edge.eid, tuple(a for a in edge.attrs if a in bound), nxt)
-        idx = memo.get(key)
-        if idx is None:
-            idx = memo[key] = bound_first_index(db, edge, bound, nxt)
-        return idx
-    attrs = sorted(edge.attrs)
-    front = [a for a in attrs if a in bound]
-    rest = [a for a in attrs if a not in bound and a != nxt]
-    mid = [] if nxt is None else [nxt]
-    return edge_index(db, edge, tuple(front + mid + rest))
+    key = (edge.relation, edge.attrs, tuple(a for a in edge.attrs if a in bound), nxt)
+    idx = db.bound_first.get(key)
+    if idx is None:
+        attrs = sorted(edge.attrs)
+        front = [a for a in attrs if a in bound]
+        rest = [a for a in attrs if a not in bound and a != nxt]
+        mid = [] if nxt is None else [nxt]
+        idx = db.bound_first[key] = edge_index(db, edge, tuple(front + mid + rest))
+    return idx
 
 
 @dataclass
@@ -249,15 +251,14 @@ def agm(cover: Cover, sizes) -> AgmValue:
     return AgmValue(log)
 
 
-def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s, memo=None) -> float:
+def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s) -> float:
     """Π_{F ∈ ℰ_𝒪} |R_F ⋉ s|^{x_F} under the original cover; 0.0 if any
-    semijoin with positive weight is empty. `memo`: bound_first_index's,
-    shared by the caller across calls on one query."""
+    semijoin with positive weight is empty."""
     log = 0.0
     for e in query.edges_touching(remaining):
         x = cover.weights[e.eid]
         bound = {a: s[a] for a in e.attrs if a in s}
-        deg = bound_first_index(db, e, bound, memo=memo).degree(bound)
+        deg = bound_first_index(db, e, bound).degree(bound)
         if deg == 0:
             return 0.0
         if x:

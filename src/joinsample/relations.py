@@ -6,9 +6,9 @@ one relation along a fixed attribute order and keeps subtree counts, which
 makes semijoin degrees, row sampling, and projection views cheap (one binary
 search per level). Every probe walks the bound prefix once, in `_walk`, and
 needs the bound attributes to be a prefix of the order. Which index a probe
-reads is one rule, `queries.bound_first_index` (bound attributes first);
-`estimators.Plan` resolves it once per (edge, bound attributes), so a trial
-step does only the walk.
+reads is one rule, `queries.bound_first_index` (bound attributes first),
+and the Database keeps its answers, so a probe finds its index once per
+database and a trial step does only the walk.
 
 A Database owns the interner, the loaded relations, the deduplicated
 projections derived from them, and lazy caches keyed by what they are built
@@ -16,9 +16,11 @@ from: one sorted row list per (source, column positions) and one trie per
 (source, column permutation), where a source is a loaded relation's name or
 a projection's (source, positions). An edge's TrieIndex relabels the shared
 trie with its own attribute names, so edges over one relation that read the
-same column order share one root. It also meters query-model operations:
-every degree / exist / sample_row / view call bumps a counter, which
-benchmark reports read as the cost measure T. Index builds are treated as
+same column order share one root. `bound_first` holds the bound-first index
+of each (relation, edge attributes, bound attributes, next attribute), which
+`queries.bound_first_index` reads and fills. It also meters query-model
+operations: every degree / exist / sample_row / view call bumps a counter,
+which benchmark reports read as the cost measure T. Index builds are treated as
 preprocessing and are not metered.
 """
 
@@ -350,6 +352,7 @@ class Database:
         self._rows: dict[tuple, list] = {}   # (source, positions) -> sorted rows
         self._tries: dict[tuple, TrieIndex] = {}  # (source, permutation) -> build
         self._indexes: dict = {}  # (name, column names, order) -> TrieIndex
+        self.bound_first: dict = {}  # see queries.bound_first_index
         self.ops = OpCounter()
 
     def load(self, name, schema, rows) -> Relation:

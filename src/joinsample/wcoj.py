@@ -15,16 +15,15 @@ from __future__ import annotations
 from .queries import Hypergraph, bound_first_index
 
 
-def _pick_attr(db, query, remaining, s, memo):
+def _pick_attr(db, query, remaining, s):
     """The remaining attribute whose smallest projection among its covering
-    edges is smallest, with those projections as (size, eid, view), sorted.
-    memo: the call's bound_first_index memo."""
+    edges is smallest, with those projections as (size, eid, view), sorted."""
     best = None
     for a in sorted(remaining):
         views = []
         for e in query.edges_containing(a):
             bound = {x: s[x] for x in e.attrs if x in s}
-            view = bound_first_index(db, e, bound, a, memo).project((a,), bound, dedup=True)
+            view = bound_first_index(db, e, bound, a).project((a,), bound, dedup=True)
             views.append((view.size(), e.eid, view))
         views.sort(key=lambda t: t[:2])
         if best is None or views[0][0] < best[0]:
@@ -42,33 +41,30 @@ def generic_join(db, query: Hypergraph, remaining=None, s=None):
     s = dict(s or {})
     out_attrs = tuple(sorted(remaining))
     results = set()
-    for binding in _enumerate(db, query, remaining, s, {}):
+    for binding in _enumerate(db, query, remaining, s):
         results.add(tuple(binding[a] for a in out_attrs))
     return results
 
 
-def generic_join_exists(db, query: Hypergraph, remaining, s, memo=None) -> bool:
-    """Whether s extends to an answer over remaining. memo: a
-    bound_first_index memo to keep across calls on the same query (default:
-    one for this call)."""
-    for _ in _enumerate(db, query, frozenset(remaining), dict(s),
-                        {} if memo is None else memo):
+def generic_join_exists(db, query: Hypergraph, remaining, s) -> bool:
+    """Whether s extends to an answer over remaining."""
+    for _ in _enumerate(db, query, frozenset(remaining), dict(s)):
         return True
     return False
 
 
-def _enumerate(db, query, remaining, s, memo):
+def _enumerate(db, query, remaining, s):
     if not remaining:
         yield s
         return
-    attr, views = _pick_attr(db, query, remaining, s, memo)
+    attr, views = _pick_attr(db, query, remaining, s)
     smallest = views[0][2]
     rest = [view.count_of for _, _, view in views[1:]]
     sub_remaining = remaining - {attr}
     for (val,) in smallest:
         if all(count((val,)) for count in rest):
             s[attr] = val
-            yield from _enumerate(db, query, sub_remaining, s, memo)
+            yield from _enumerate(db, query, sub_remaining, s)
     s.pop(attr, None)
 
 

@@ -177,6 +177,41 @@ def test_ghd_tree_with_a_cycle_is_rejected(tmp_path, capsys):
     assert "needs 2 edges, got 3" in capsys.readouterr().err
 
 
+def test_ghd_estimate_enforces_an_edge_inside_a_covering_one(tmp_path, capsys):
+    raw = {"F": (("A", "B", "C"), [(1, 1, 1), (1, 2, 1), (2, 2, 2)]),
+           "E": (("A", "B"), [(1, 1)])}
+    qdoc = {"attributes": ["A", "B", "C"],
+            "edges": [{"relation": "F", "vars": ["A", "B", "C"]},
+                      {"relation": "E", "vars": ["A", "B"]}],
+            "ghd": {"bags": [["A", "B", "C"], ["A", "B"], ["A", "B"]],
+                    "edges": [[0, 1], [0, 2]]}}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main(["ghd", dbdir, qpath, "--estimate", "--budget", "4"]) == 0
+    assert "estimate: 1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["ghd", "--estimate", "--budget", "8"], ["bench"]])
+def test_full_join_counts_reject_a_projection(tmp_path, capsys, argv):
+    # both count the full join; a projected query's answers are fewer
+    dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
+    assert main([argv[0], dbdir, qpath, *argv[1:]]) == 4
+    err = capsys.readouterr().err
+    assert "projects onto A,C" in err
+    assert main(["ghd", dbdir, qpath]) == 0
+
+
+@pytest.mark.parametrize("argv", [["join"], ["join", "--oracle"], ["ghd"],
+                                  ["sample"], ["estimate"], ["bench"]])
+def test_an_attribute_listed_twice_is_a_load_error(tmp_path, capsys, argv):
+    raw = {"R": (("A", "B"), [(1, 2)]), "S": (("B", "C"), [(2, 3), (2, 6)])}
+    qdoc = {"attributes": ["A", "A", "B", "C"],
+            "edges": [{"relation": "R", "vars": ["A", "B"]},
+                      {"relation": "S", "vars": ["B", "C"]}]}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main([argv[0], dbdir, qpath, *argv[1:]]) == 3
+    assert "repeat" in capsys.readouterr().err
+
+
 def test_ghd_search_reports_fhtw_on_cyclic_fixtures(tmp_path, capsys):
     for name, want in (("sym-5cyc", "2"), ("k4", "2"), ("sym-mixed", "3/2")):
         (tmp_path / name).mkdir()

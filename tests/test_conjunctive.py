@@ -170,10 +170,34 @@ def test_attempts_share_one_residual_index_memo(monkeypatch):
         assert sum(g is not None for g in got) > 1
 
     attempts("warm")
-    assert pp.memo
+    assert {e.relation for e in pp.residual.edges} <= {key[0] for key in db.bound_first}
     calls = []
     real = queries.edge_index
     monkeypatch.setattr(queries, "edge_index",
                         lambda *args: calls.append(args) or real(*args))
     attempts("counted")
+    assert calls == []
+
+
+def test_a_fresh_plan_finds_the_residual_indexes_on_the_database(monkeypatch):
+    # bound-first indexes are kept by the database, not by one plan: a
+    # second plan over the same query looks none up again
+    from joinsample import queries
+    db, query, _ = build("proj-path")
+
+    def attempts(pp, stream):
+        got = [sample_projection(pp, derive_rng(0, stream, i)) for i in range(300)]
+        assert sum(g is not None for g in got) > 1
+
+    attempts(ProjectionPlan(db, query), "warm")
+    fresh = ProjectionPlan(db, query)
+    # each plan finds its own edge-order indexes (Plan.index_for) once
+    for plan, _ in fresh.parts:
+        for e in plan.query.edges:
+            plan.index_for(e)
+    calls = []
+    real = queries.edge_index
+    monkeypatch.setattr(queries, "edge_index",
+                        lambda *args: calls.append(args) or real(*args))
+    attempts(fresh, "counted")
     assert calls == []

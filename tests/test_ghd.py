@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import CORPUS, build, oracle
 from joinsample import (
-    GHD, GJSample, Hypergraph, QueryError, check_ghd, choose_ghd, enumerate_ghds,
-    fhtw, ghd_card_est, join_tree, rho_star, width,
+    GHD, Database, GJSample, Hypergraph, QueryError, check_ghd, choose_ghd,
+    enumerate_ghds, fhtw, ghd_card_est, join_tree, rho_star, width,
 )
 from joinsample.ghd import group_by_card_est, node_query
 from joinsample.queries import fractional_edge_cover
@@ -163,6 +164,56 @@ def test_acyclic_estimate_is_exact_at_any_seed():
         out = float(oracle(name).out)
         for seed in (0, 1, 2):
             assert ghd_card_est(db, hq, budget=1, seed=seed) == out, name
+
+
+def _loaded(raw, edges):
+    """Database over raw plus the hypergraph of edges [(relation, attrs)]."""
+    db = Database()
+    for rel, (schema, rows) in raw.items():
+        db.load(rel, schema, rows)
+    attrs = sorted({a for _, e in edges for a in e})
+    return db, Hypergraph(attrs, [(e, rel) for rel, e in edges])
+
+
+def test_shortcut_nodes_enforce_every_edge():
+    # F covers both AB bags, but only E, whose attributes equal them, is
+    # enforced there: one answer, where shortcuts through F counted F's three
+    raw = {"F": (("A", "B", "C"), [(1, 1, 1), (1, 2, 1), (2, 2, 2)]),
+           "E": (("A", "B"), [(1, 1)])}
+    edges = [("F", ("A", "B", "C")), ("E", ("A", "B"))]
+    db, hq = _loaded(raw, edges)
+    g = GHD([frozenset("ABC"), frozenset("AB"), frozenset("AB")], [(0, 1), (0, 2)])
+    assert ghd_card_est(db, hq, ghd=g, budget=4) == 1.0
+    # two edges over one attribute set: a bag equal to both enforces only
+    # the one it chose, so the other must be checked elsewhere
+    raw = {"E1": (("A", "B"), [(1, 1), (1, 2), (2, 2)]),
+           "E2": (("A", "B"), [(1, 2), (3, 3)])}
+    edges = [("E1", ("A", "B")), ("E2", ("A", "B"))]
+    db, hq = _loaded(raw, edges)
+    g = GHD([frozenset("AB"), frozenset("AB")], [(0, 1)])
+    assert ghd_card_est(db, hq, ghd=g, budget=1) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["AB", "BC", "AC", "A", "C"]),
+       st.booleans())
+def test_join_trees_with_nested_edges_count_exactly(rnd, sub, repeat):
+    # every bag of a join tree is one edge's, so every node is a shortcut
+    # and the estimate is the exact count, also where E lies inside R and
+    # where E's bag appears twice
+    def rows(arity, values):
+        return [tuple(rnd.randrange(values) for _ in range(arity))
+                for _ in range(rnd.randrange(1, 10))]
+
+    raw = {"R": (("A", "B", "C"), rows(3, 3)), "E": (tuple(sub), rows(len(sub), 3)),
+           "S": (("B", "D"), rows(2, 3))}
+    edges = [("R", ("A", "B", "C")), ("E", tuple(sub)), ("S", ("B", "D"))]
+    db, hq = _loaded(raw, edges)
+    g = join_tree(hq)
+    if repeat:
+        g = GHD(g.bags + [frozenset(sub)], g.tree_edges + [(1, len(g.bags))], root=g.root)
+    want = float(oracles.distinct_count(raw, edges))
+    assert ghd_card_est(db, hq, ghd=g, budget=1, seed=rnd.randrange(9)) == want
 
 
 def test_two_node_ghd_unbiased_smoke():

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import build, raw_edges
 from joinsample import (
-    Plan, QueryError, agm, fractional_edge_cover, half_integral_cover,
-    parse_query_text, residual_agm, validate,
+    Database, Plan, QueryError, agm, fractional_edge_cover, generic_join,
+    half_integral_cover, parse_query_text, residual_agm, validate,
 )
-from joinsample.queries import Hypergraph, edge_index, relation_sizes
+from joinsample import queries
+from joinsample.queries import Hypergraph, bound_first_index, edge_index, relation_sizes
 
 
 def test_parse_rejects_bad_documents():
@@ -35,6 +36,16 @@ def test_parse_rejects_bad_documents():
             parse_query_text(doc)
     with pytest.raises(QueryError, match="no edges"):
         Hypergraph((), [])
+
+
+def test_an_attribute_listed_twice_is_rejected():
+    doc = ('{"attributes": ["A", "A", "B", "C"], "edges": ['
+           '{"relation": "R", "vars": ["A", "B"]}, '
+           '{"relation": "S", "vars": ["B", "C"]}]}')
+    with pytest.raises(QueryError, match="repeat"):
+        parse_query_text(doc)
+    with pytest.raises(QueryError, match="repeat"):
+        Hypergraph(("A", "B", "A"), [(("A", "B"), "R")])
 
 
 def test_validate_checks_schema_against_db():
@@ -186,6 +197,60 @@ def test_edge_index_shares_backing_storage():
     assert set(db.relations) == {"G"}
     # the schema spelled out and left out share one index
     assert db.index("G", ("X", "Y")) is db.index("G", ("X", "Y"), ("X", "Y"))
+
+
+def _count_edge_index_calls(monkeypatch):
+    calls = []
+    real = queries.edge_index
+    monkeypatch.setattr(queries, "edge_index",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_second_generic_join_looks_up_no_index(monkeypatch):
+    # the database keeps every bound-first index a join found
+    db, query, _ = build("cycle4")
+    hq = query.hypergraph
+    first = generic_join(db, hq)
+    assert db.bound_first
+    calls = _count_edge_index_calls(monkeypatch)
+    assert generic_join(db, hq) == first
+    assert calls == []
+
+
+def test_residual_agm_finds_its_indexes_on_the_database(monkeypatch):
+    db, query, _ = build("tri-skew")
+    hq = query.hypergraph
+    cover = fractional_edge_cover(hq, relation_sizes(db, hq))
+    bindings = [{"A": db.interner.intern(v)} for v in range(6)]
+    first = [residual_agm(db, hq, cover, {"B", "C"}, s) for s in bindings]
+    calls = _count_edge_index_calls(monkeypatch)
+    again = [residual_agm(db, hq, cover, {"B", "C"}, s) for s in bindings]
+    # a plan over the same edges reads the same entries
+    plan = Plan(db, hq)
+    for e in hq.edges:
+        for s in bindings:
+            assert plan.bound_index(e, s) is bound_first_index(db, e, s)
+    assert again == first
+    assert calls == []
+
+
+def test_bound_first_indexes_are_kept_per_column_names():
+    # two queries name R's columns in opposite orders: A is R's first column
+    # in one and its second in the other, so A-first indexes differ
+    db = Database()
+    db.load("R", ("X", "Y"), [(1, 2), (1, 3), (2, 3)])
+    fwd = Hypergraph(("A", "B"), [(("A", "B"), "R")]).edges[0]
+    back = Hypergraph(("A", "B"), [(("B", "A"), "R")]).edges[0]
+    i_fwd = bound_first_index(db, fwd, {"A"})
+    i_back = bound_first_index(db, back, {"A"})
+    assert i_fwd is not i_back
+    assert i_fwd.order == i_back.order == ("A", "B")
+    one, three = db.interner.intern(1), db.interner.intern(3)
+    assert i_fwd.degree({"A": one}) == 2 and i_fwd.degree({"A": three}) == 0
+    assert i_back.degree({"A": one}) == 0 and i_back.degree({"A": three}) == 2
+    assert bound_first_index(db, fwd, {"A": one}) is i_fwd
+    assert bound_first_index(db, back, ("A",)) is i_back
 
 
 def test_agm_upper_bounds_output_everywhere():
