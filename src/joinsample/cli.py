@@ -161,6 +161,8 @@ def cmd_estimate(args) -> int:
                                         strategy=args.strategy)
         report["projection"] = ",".join(sorted(query.projection))
     else:
+        if args.median and args.mode == "success-count":
+            raise CliError(EXIT_VALIDATE, "--median needs --mode geometric")
         plan = Plan(db, query.hypergraph, skip_nonjoin=args.skip_nonjoin)
         strategy = make_strategy(args.strategy, b=args.b, boost=args.boost)
         rep = estimate_with_guarantee(plan, strategy, args.epsilon, args.delta,

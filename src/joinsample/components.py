@@ -94,10 +94,9 @@ class ComponentPlan:
         self.db.ops.add(1)
         if hit is not None:
             return hit
-        rel = self.db.relation(relname)
-        a, b = rel.schema
+        edge = next(e for e in self.plan.query.edges if e.relation == relname)
         # symmetric precondition makes both columns agree
-        n = 2 * self.db.index(relname, (a, b))._walk((value,))[1]
+        n = 2 * self.plan.bound_index(edge, edge.attrs[:1])._walk((value,))[1]
         self._inc[key] = n
         return n
 

@@ -46,7 +46,7 @@ from .queries import (
     QueryError,
     agm,
     bound_first_index,
-    edge_index,
+    edge_projections,
     fractional_edge_cover,
     relation_sizes,
     validate,
@@ -65,16 +65,14 @@ class Plan:
     """Per-query precomputation shared by every trial.
 
     Holds the fixed cover (computed once on the original sizes and reused for
-    all residual AGM ratios), the attribute elimination order, per-attribute
-    edge lists, and canonical per-edge index orders. With skip_nonjoin=True,
-    attributes that appear in exactly one edge are never sampled; the leaf
-    returns the product of their per-edge distinct-extension counts instead
-    of 1.
+    all residual AGM ratios), the attribute elimination order and the
+    per-attribute edge lists. With skip_nonjoin=True, attributes that appear
+    in exactly one edge are never sampled; the leaf returns the product of
+    their per-edge distinct-extension counts instead of 1.
 
-    A probe finds its index with one dict read: index_for keeps each
-    edge's index along its edge order per plan, and bound_index reads the
-    bound-first index (queries.bound_first_index, the one order rule),
-    which the database keeps for every plan.
+    Every probe, projection and row draw reads the bound-first index of its
+    edge (queries.bound_first_index, the one order rule), which the database
+    keeps for every plan; bound_index is that lookup for a binding.
 
     step_record(remaining) is the step at one depth of a trial: a _Step
     memoised per remaining set, holding what a step reads that depends
@@ -111,20 +109,11 @@ class Plan:
         self.sampled = frozenset(self.elim)
         if self.sampled != set(query.attributes) - self.skipped:
             raise QueryError("elimination order must cover every sampled attribute")
-        pos = {a: i for i, a in enumerate(self.elim)}
-        # DRS, GJ and alley sample rows along these orders: any other order
-        # changes which row a seeded rng picks.
-        self.edge_order = {}
-        for e in query.edges:
-            self.edge_order[e.eid] = tuple(
-                sorted(e.attrs, key=lambda a: (a in self.skipped, pos.get(a, 0), a))
-            )
         self.e_I = {a: query.edges_containing(a) for a in query.attributes}
-        # leaf_value's skipped columns per edge that has any, in edge order
-        self._leaf = [(e, rest) for e in query.edges if (rest := tuple(
-            a for a in self.edge_order[e.eid] if a in self.skipped))]
+        # leaf_value's skipped columns, sorted, per edge that has any
+        self._leaf = [(e, rest) for e in query.edges
+                      if (rest := tuple(sorted(e.attr_set & self.skipped)))]
         self._deg_cache = {}
-        self._indexes = {}   # eid -> index along edge_order
         self._steps = {}     # remaining -> _Step
 
     def next_attr(self, remaining):
@@ -139,14 +128,6 @@ class Plan:
         if rec is None:
             rec = self._steps[remaining] = _Step(self, remaining)
         return rec
-
-    def index_for(self, edge):
-        """The edge's index along its edge order, built or found once."""
-        idx = self._indexes.get(edge.eid)
-        if idx is None:
-            idx = self._indexes[edge.eid] = edge_index(
-                self.db, edge, self.edge_order[edge.eid])
-        return idx
 
     def bound_index(self, edge, s):
         """The bound-first index of edge under binding s, whose order starts
@@ -171,15 +152,6 @@ class Plan:
         deg = self._deg_cache[key] = idx._walk([s[a] for a in idx.order if a in s])[1]
         return deg
 
-    def views(self, a, s):
-        """π_a(R_F ⋉ s) for each edge F containing a, in e_I order; each
-        projection charges one op."""
-        views = []
-        for e in self.e_I[a]:
-            bound = {x: s[x] for x in e.attrs if x in s}
-            views.append(self.index_for(e).project((a,), bound, dedup=True))
-        return views
-
     def step_table(self, key, a, build):
         """The step table for attribute a under key, from the probe memo.
 
@@ -200,7 +172,7 @@ class Plan:
         prod = 1.0
         for e, rest in self._leaf:
             bound = {a: s[a] for a in e.attrs if a in s}
-            view = self.index_for(e).project(rest, bound, dedup=True)
+            view = bound_first_index(self.db, e, bound).project(rest, bound, dedup=True)
             n = view.size()
             if n == 0:
                 return 0.0
@@ -252,18 +224,23 @@ class _Step:
     edges containing it (e_I order) and every attribute of those edges,
     all a step on attr reads of the binding (DRS, GJ, alley).
     terms: plan.agm_terms(remaining, attr).
+    draws: per edge of edges, the bound-first index DRS draws its row from:
+    the sampled attributes outside remaining first, then attr, so attr's
+    value directly follows the binding in the drawn row.
     left: remaining once a step bound a tuple of attributes, by that tuple:
     (attr,), and wander's I once its record is built.
     walk: WanderJoin's record, built on first use.
     """
 
-    __slots__ = ("attr", "edges", "near", "terms", "left", "walk")
+    __slots__ = ("attr", "edges", "near", "terms", "draws", "left", "walk")
 
     def __init__(self, plan, remaining):
         self.attr = a = plan.next_attr(remaining)
         self.edges = plan.e_I[a]
         self.near = tuple(dict.fromkeys(x for e in self.edges for x in e.attrs))
         self.terms = plan.agm_terms(remaining, a)
+        bound = plan.sampled - remaining
+        self.draws = tuple(bound_first_index(plan.db, e, bound, a) for e in self.edges)
         self.left = {(a,): remaining - {a}}
         self.walk = None
 
@@ -399,7 +376,7 @@ class AlleyPlus:
 
 def _intersection(plan, a, s):
     """(Ω as a tuple, the scan's op charge) for AlleyPlus.step."""
-    views = plan.views(a, s)
+    views = edge_projections(plan.db, plan.e_I[a], a, s)
     smallest = min(views, key=View.size)
     rest = [v for v in views if v is not smallest]
     omega = tuple(c for (c,) in smallest if all(v.count_of((c,)) for v in rest))
@@ -456,7 +433,7 @@ def _gj_table(plan, rec, s):
     """GJSample's table on the record's attribute: (candidates,
     probabilities, running sums, deg2 lookup per edge with None for Ω's own
     view, the step's op charge beyond the projections)."""
-    views = plan.views(rec.attr, s)
+    views = edge_projections(plan.db, rec.edges, rec.attr, s)
     smallest = min(views, key=View.size)
     n = smallest.size()
     cost = len(views) + max(1, n) + len(views) * n
@@ -495,8 +472,9 @@ class DRS:
     """Degree-keyed rejection sampling; table-free.
 
     Draw an edge F* uniformly among those containing the attribute, sample a
-    row of R_{F*} ⋉ s, and keep its value c only when F* attains the maximum
-    relative degree rdeg_F(c) = |R_F ⋉ (s ⊎ c)| / |R_F ⋉ s|, thinned by
+    row of R_{F*} ⋉ s off the step record's draws, and keep its value c only
+    when F* attains the maximum relative degree
+    rdeg_F(c) = |R_F ⋉ (s ⊎ c)| / |R_F ⋉ s|, thinned by
     keep = AGM-ratio / rdeg_max (≤ 1), split across the m tied edges. The
     kept probability is then exactly AGM-ratio / #edges.
 
@@ -518,9 +496,9 @@ class DRS:
         rec = plan.step_record(remaining)
         a, edges = rec.attr, rec.edges
         ne = len(edges)
-        fstar = edges[rng.randrange(ne)]
+        i = rng.randrange(ne)
         deg1 = {e.eid: plan.edge_degree(e, s) for e in edges}
-        idx = plan.index_for(fstar)
+        idx = rec.draws[i]
         c = idx.sample_row(s, rng)[idx.order.index(a)]
         s2 = {**s, a: c}
         deg2 = {e.eid: plan.edge_degree(e, s2) for e in edges}
@@ -537,7 +515,7 @@ class DRS:
                 tied = [e]
             elif left == right:
                 tied.append(e)
-        is_max = fstar in tied
+        is_max = edges[i] in tied
         if self.boost != "any-edge" and not is_max:
             return StepOutcome((a,), [])
         ratio = _ratio(rec.terms, deg1, deg2)
@@ -735,11 +713,14 @@ def estimate_with_guarantee(plan: Plan, strategy, epsilon, delta, seed=0,
     the assumption, or declares 0 when the assumption drops below 1.
     success-count: repeats the uniform sampler until c successes and inverts
     the known per-answer probability (capped so empty outputs terminate).
+    median (geometric only) takes the median of five group means per stage.
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
     ops0 = plan.db.ops.n
     if mode == "success-count":
+        if median:
+            raise ValueError("median applies to the geometric mode only")
         return _success_count(plan, strategy, seed, c, ops0, epsilon, delta)
     if mode != "geometric":
         raise ValueError(f"unknown mode {mode!r}")

@@ -123,12 +123,22 @@ def bound_first_index(db, edge: Edge, bound, nxt=None):
     key = (edge.relation, edge.attrs, tuple(a for a in edge.attrs if a in bound), nxt)
     idx = db.bound_first.get(key)
     if idx is None:
-        attrs = sorted(edge.attrs)
-        front = [a for a in attrs if a in bound]
-        rest = [a for a in attrs if a not in bound and a != nxt]
-        mid = [] if nxt is None else [nxt]
-        idx = db.bound_first[key] = edge_index(db, edge, tuple(front + mid + rest))
+        order = sorted(edge.attrs, key=lambda a: (a not in bound, a != nxt, a))
+        idx = db.bound_first[key] = edge_index(db, edge, tuple(order))
     return idx
+
+
+def edge_projections(db, edges, a, s):
+    """π_a(R_F ⋉ s) for each edge F of `edges`, which all contain a, in that
+    order: one View per edge, read off bound_first_index(db, F, s, a), whose
+    keys are a's values and whose counts are their supporting rows. GJ,
+    alley and generic_join project through here; each projection charges
+    one op."""
+    views = []
+    for e in edges:
+        bound = {x: s[x] for x in e.attrs if x in s}
+        views.append(bound_first_index(db, e, bound, a).project((a,), bound, dedup=True))
+    return views
 
 
 @dataclass
@@ -384,18 +394,28 @@ class Query:
     user_ghd: dict | None = None
 
 
+def _names(value, field) -> tuple:
+    """value, a JSON array of strings, as a tuple; QueryError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise QueryError(f"{field} must be a JSON array of strings, got {value!r}")
+    return tuple(value)
+
+
 def parse_query_text(text: str) -> Query:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise QueryError(f"query file is not valid JSON: {exc}") from exc
     try:
-        attrs = list(doc["attributes"])
-        edges = [(tuple(e["vars"]), e["relation"]) for e in doc["edges"]]
+        attrs = _names(doc["attributes"], "attributes")
+        edges = [(_names(e["vars"], f"edge {i} vars"), e["relation"])
+                 for i, e in enumerate(doc["edges"])]
     except (KeyError, TypeError) as exc:
         raise QueryError(f"query file missing field: {exc}") from exc
     hg = Hypergraph(attrs, edges)
-    projection = tuple(doc["projection"]) if doc.get("projection") else None
+    projection = _names(doc.get("projection") or [], "projection") or None
+    if projection and len(set(projection)) != len(projection):
+        raise QueryError(f"projection repeats a name: {list(projection)}")
     if projection and not set(projection) <= set(hg.attributes):
         raise QueryError("projection uses undeclared attributes")
     return Query(hg, projection, doc.get("ghd"))

@@ -12,22 +12,19 @@ once). It exists so everything else can be checked against it.
 
 from __future__ import annotations
 
-from .queries import Hypergraph, bound_first_index
+from .queries import Hypergraph, edge_projections
+from .relations import View
 
 
 def _pick_attr(db, query, remaining, s):
     """The remaining attribute whose smallest projection among its covering
-    edges is smallest, with those projections as (size, eid, view), sorted."""
+    edges is smallest, with those projections sorted by size (a stable sort,
+    so ties stay in eid order)."""
     best = None
     for a in sorted(remaining):
-        views = []
-        for e in query.edges_containing(a):
-            bound = {x: s[x] for x in e.attrs if x in s}
-            view = bound_first_index(db, e, bound, a).project((a,), bound, dedup=True)
-            views.append((view.size(), e.eid, view))
-        views.sort(key=lambda t: t[:2])
-        if best is None or views[0][0] < best[0]:
-            best = (views[0][0], a, views)
+        views = sorted(edge_projections(db, query.edges_containing(a), a, s), key=View.size)
+        if best is None or views[0].size() < best[0]:
+            best = (views[0].size(), a, views)
     return best[1:]
 
 
@@ -58,8 +55,8 @@ def _enumerate(db, query, remaining, s):
         yield s
         return
     attr, views = _pick_attr(db, query, remaining, s)
-    smallest = views[0][2]
-    rest = [view.count_of for _, _, view in views[1:]]
+    smallest = views[0]
+    rest = [view.count_of for view in views[1:]]
     sub_remaining = remaining - {attr}
     for (val,) in smallest:
         if all(count((val,)) for count in rest):

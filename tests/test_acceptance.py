@@ -24,7 +24,7 @@ from joinsample import (
 )
 from joinsample.conjunctive import ProjectionPlan
 from joinsample.estimators import derive_rng
-from joinsample.queries import Hypergraph, relation_sizes
+from joinsample.queries import Hypergraph, bound_first_index, relation_sizes
 
 conftest.ACCEPTANCE.update({
     1: "worst-case-optimal join matches the nested-loop oracle on 52 randomized queries",
@@ -247,7 +247,7 @@ def _walk_inequalities(db, hq):
         cand = set()
         for e in edges:
             bound = {x: s[x] for x in e.attrs if x in s}
-            for (v,) in plan.index_for(e).project((a,), bound, dedup=True):
+            for (v,) in bound_first_index(plan.db, e, bound, a).project((a,), bound, dedup=True):
                 cand.add(v)
         sum_ratio = 0.0
         sum_rmax = 0.0

@@ -212,6 +212,18 @@ def test_an_attribute_listed_twice_is_a_load_error(tmp_path, capsys, argv):
     assert "repeat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["join"], ["sample"], ["estimate"]])
+@pytest.mark.parametrize("projection", [["A", "A", "C"], "AC"])
+def test_a_bad_projection_list_is_a_load_error(tmp_path, capsys, argv, projection):
+    raw = {"R": (("A", "B"), [(1, 2)]), "S": (("B", "C"), [(2, 3), (2, 6)])}
+    qdoc = {"attributes": ["A", "B", "C"], "projection": projection,
+            "edges": [{"relation": "R", "vars": ["A", "B"]},
+                      {"relation": "S", "vars": ["B", "C"]}]}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main([argv[0], dbdir, qpath, *argv[1:]]) == 3
+    assert "projection" in capsys.readouterr().err
+
+
 def test_ghd_search_reports_fhtw_on_cyclic_fixtures(tmp_path, capsys):
     for name, want in (("sym-5cyc", "2"), ("k4", "2"), ("sym-mixed", "3/2")):
         (tmp_path / name).mkdir()
@@ -365,6 +377,15 @@ def test_join_only_flag_on_a_projection_is_a_validation_error(tmp_path, capsys, 
     dbdir, qpath = _fixture_inputs(tmp_path, "proj-path")
     assert main(["estimate", dbdir, qpath, "--seed", "1", flag]) == 4
     assert flag in capsys.readouterr().err
+
+
+def test_median_with_success_count_is_a_validation_error(tmp_path, capsys):
+    # success-count mode has no stages to take a median over
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    argv = ["estimate", dbdir, qpath, "--mode", "success-count", "--c", "8",
+            "--seed", "1", "--median"]
+    assert main(argv) == 4
+    assert "--median" in capsys.readouterr().err
 
 
 def test_usage_error_for_projection_count_target(tmp_path, capsys):

@@ -191,10 +191,6 @@ def test_a_fresh_plan_finds_the_residual_indexes_on_the_database(monkeypatch):
 
     attempts(ProjectionPlan(db, query), "warm")
     fresh = ProjectionPlan(db, query)
-    # each plan finds its own edge-order indexes (Plan.index_for) once
-    for plan, _ in fresh.parts:
-        for e in plan.query.edges:
-            plan.index_for(e)
     calls = []
     real = queries.edge_index
     monkeypatch.setattr(queries, "edge_index",

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import build, oracle
 from joinsample import (
-    AlleyPlus, DRS, GJSample, Plan, QueryError, UnsupportedOrderError, WanderJoin,
+    AlleyPlus, DRS, GJSample, Plan, QueryError, TrieIndex, WanderJoin,
     derive_rng, estimate_with_guarantee, generic_card_est, generic_join,
     make_strategy, per_answer_probability, uniform_sample, variance_bound,
 )
@@ -55,16 +55,30 @@ def test_rejection_step_records_hand_checked_probabilities():
     assert seen[3] == pytest.approx(1 / 50, rel=1e-12)
 
 
-def test_drs_rejects_a_binding_that_skips_an_edge_order_attribute():
-    # B and C are bound but A, first in the orders (A, B) and (A, C), is
-    # not: either drawn edge must fail loudly, never sample under {}
+def test_drs_draws_rows_that_agree_with_the_drawn_edges_bound_column(monkeypatch):
+    # B and C are bound and A remains. B=1 leaves R(A,B) the A-values
+    # {1, 2, 3} and C=2 leaves T(A,C) only {1}, so every drawn row must hold
+    # its own edge's bound value, and each edge's A-values show which
+    # binding the draw read.
     db, plan = _pair_plan()
-    assert plan.edge_order == {0: ("A", "B"), 1: ("A", "C")}
-    one = db.interner.intern(1)
-    for i in range(20):
-        with pytest.raises(UnsupportedOrderError):
-            DRS().step(plan, frozenset({"A"}), {"B": one, "C": one},
-                       derive_rng("skip", "drs", i))
+    s = {"B": db.interner.intern(1), "C": db.interner.intern(2)}
+    drawn = []
+    real = TrieIndex.sample_row
+
+    def spy(idx, binding, rng):
+        row = real(idx, binding, rng)
+        drawn.append(dict(zip(idx.order, row)))
+        return row
+
+    monkeypatch.setattr(TrieIndex, "sample_row", spy)
+    for i in range(40):
+        DRS().step(plan, frozenset({"A"}), s, derive_rng("bound", "drs", i))
+    values = {"B": set(), "C": set()}
+    for row in drawn:
+        (col,) = set(row) - {"A"}
+        assert row[col] == s[col]
+        values[col].add(db.interner.decode(row["A"]))
+    assert values == {"B": {1, 2, 3}, "C": {1}}
 
 
 def test_table_step_records_agm_ratio():
@@ -181,6 +195,17 @@ def test_median_agrees_with_serial():
                                   median=True)
     # b=1 trials are deterministic, so every group mean is the exact count
     assert med.estimate == serial.estimate
+
+
+def test_median_is_rejected_in_success_count_mode():
+    # success-count mode runs no stages; the flag must not pass unread,
+    # also on an empty join
+    for name in ("skew-pair", "empty-tri"):
+        db, query, _ = build(name)
+        plan = Plan(db, query.hypergraph)
+        with pytest.raises(ValueError, match="median"):
+            estimate_with_guarantee(plan, DRS(), 0.5, 0.25, mode="success-count",
+                                    c=8, median=True)
 
 
 def test_elim_order_must_cover_sampled_attrs():

@@ -23,6 +23,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from joinsample import Cover, Database, GJSample, Hypergraph, Plan
 from joinsample.estimators import StepOutcome
+from joinsample.queries import bound_first_index
 
 # R(A,B) is bound directly and, under other names, through a self-join
 # alias; S(X,Y) is always aliased; T(A,B,C) is the ternary relation.
@@ -51,7 +52,7 @@ def reference_step(plan, remaining, s, rng) -> StepOutcome:
     best = None
     for e in edges:
         bound = {x: s[x] for x in e.attrs if x in s}
-        view = plan.index_for(e).project((a,), bound, dedup=True)
+        view = bound_first_index(plan.db, e, bound, a).project((a,), bound, dedup=True)
         key = (view.size(), e.eid)
         if best is None or key < best[0]:
             best = (key, view)

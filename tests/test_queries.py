@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from joinsample import (
     half_integral_cover, parse_query_text, residual_agm, validate,
 )
 from joinsample import queries
-from joinsample.queries import Hypergraph, bound_first_index, edge_index, relation_sizes
+from joinsample.queries import (
+    Hypergraph, bound_first_index, edge_index, edge_projections, relation_sizes,
+)
 
 
 def test_parse_rejects_bad_documents():
@@ -46,6 +49,31 @@ def test_an_attribute_listed_twice_is_rejected():
         parse_query_text(doc)
     with pytest.raises(QueryError, match="repeat"):
         Hypergraph(("A", "B", "A"), [(("A", "B"), "R")])
+
+
+def test_a_projection_listed_twice_is_rejected():
+    doc = ('{"attributes": ["A", "B", "C"], "edges": ['
+           '{"relation": "R", "vars": ["A", "B"]}, '
+           '{"relation": "S", "vars": ["B", "C"]}], "projection": ["A", "A", "C"]}')
+    with pytest.raises(QueryError, match="projection repeats"):
+        parse_query_text(doc)
+
+
+@pytest.mark.parametrize("attributes,vars_,projection", [
+    ('"ABC"', '["A", "B"]', '["A"]'),
+    ('["A", "B", "C"]', '"AB"', '["A"]'),
+    ('["A", "B", "C"]', '["A", "B"]', '"AC"'),
+    ('["A", "B", "C"]', '["A", "B"]', '{"A": 1}'),
+    ('["A", 1, "C"]', '["A", 1]', '["A"]'),
+    ('["A", "B", "C"]', '["A", "B"]', '[["A"]]'),
+])
+def test_name_lists_must_be_arrays_of_strings(attributes, vars_, projection):
+    # a string where a list belongs would otherwise split into characters
+    doc = (f'{{"attributes": {attributes}, "edges": ['
+           f'{{"relation": "R", "vars": {vars_}}}, '
+           f'{{"relation": "S", "vars": ["B", "C"]}}], "projection": {projection}}}')
+    with pytest.raises(QueryError, match="array of strings"):
+        parse_query_text(doc)
 
 
 def test_validate_checks_schema_against_db():
@@ -251,6 +279,66 @@ def test_bound_first_indexes_are_kept_per_column_names():
     assert i_back.degree({"A": one}) == 0 and i_back.degree({"A": three}) == 2
     assert bound_first_index(db, fwd, {"A": one}) is i_fwd
     assert bound_first_index(db, back, ("A",)) is i_back
+
+
+@st.composite
+def _projection_cases(draw):
+    """(db, plan, ids, depth): a query of one to four edges of arity 1 to 3
+    over A-D, edges of one arity sometimes sharing a relation, with
+    duplicate rows; a permuted elimination order, skip_nonjoin on or off;
+    an interned value per attribute (4 is in no row) and a depth of the
+    elimination order to bind."""
+    edges = []
+    for i in range(draw(st.integers(1, 4))):
+        attrs = tuple(draw(st.permutations("ABCD"))[:draw(st.integers(1, 3))])
+        edges.append((attrs, f"R{len(attrs)}" if draw(st.booleans()) else f"E{i}"))
+    db = Database()
+    for attrs, rel in edges:
+        if rel not in db.relations:
+            row = st.tuples(*[st.integers(0, 3)] * len(attrs))
+            db.load(rel, tuple("XYZ"[:len(attrs)]), draw(st.lists(row, min_size=1,
+                                                                   max_size=10)))
+    names = sorted({a for attrs, _ in edges for a in attrs})
+    plan = Plan(db, Hypergraph(names, edges), elim_order=draw(st.permutations(names)),
+                skip_nonjoin=draw(st.booleans()))
+    ids = {a: db.interner.intern(draw(st.integers(0, 4))) for a in names}
+    return db, plan, ids, draw(st.integers(0, len(plan.elim)))
+
+
+def _matching_rows(db, edge, s):
+    """R_F ⋉ s off the relation's rows, each as a dict over F's attributes."""
+    rows = (dict(zip(edge.attrs, t)) for t in db.relation(edge.relation).tuples)
+    return [r for r in rows if all(r[x] == v for x, v in s.items() if x in r)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_projection_cases())
+def test_projections_and_leaf_counts_match_brute_force(case):
+    # edge_projections (GJ, alley, generic_join) and leaf_value read the
+    # bound-first indexes; here they meet π_a(R_F ⋉ s) off the rows
+    db, plan, ids, depth = case
+    s = {a: ids[a] for a in plan.elim[:depth]}
+    for a in plan.query.attributes:
+        if a in s:
+            continue
+        edges = plan.query.edges_containing(a)
+        for e, view in zip(edges, edge_projections(db, edges, a, s)):
+            want = Counter(r[a] for r in _matching_rows(db, e, s))
+            assert dict(view.items()) == want
+            assert view.size() == len(want) and view.rows() == sum(want.values())
+    if depth < len(plan.elim):
+        # DRS draws from the index whose order is s's columns, then a
+        rec = plan.step_record(frozenset(plan.elim[depth:]))
+        for e, idx in zip(rec.edges, rec.draws):
+            bound = sorted(x for x in e.attrs if x in s)
+            assert idx.order[:len(bound) + 1] == (*bound, rec.attr)
+    s = {a: ids[a] for a in plan.elim}
+    want = 1.0
+    for e in plan.query.edges:
+        rest = sorted(e.attr_set & plan.skipped)
+        if rest:
+            want *= len({tuple(r[x] for x in rest) for r in _matching_rows(db, e, s)})
+    assert plan.leaf_value(s) == want
 
 
 def test_agm_upper_bounds_output_everywhere():

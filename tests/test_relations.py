@@ -8,6 +8,7 @@ from joinsample import (
     Database, EmptySemijoinError, Hypergraph, Plan, SchemaError,
     UnsupportedOrderError, TrieIndex, load_relation, parse_relation_file,
 )
+from joinsample.queries import bound_first_index
 
 
 def small_db():
@@ -231,8 +232,7 @@ def _reference_row(rows, order, bound, rng):
 @example(((("B", "A"), [(1, 2)], [(1, 2), (3, 3)])), 0)   # one row
 def test_probes_match_brute_force(bag, seed):
     # Plan.edge_degree and TrieIndex.sample_row against the rows themselves,
-    # under every set of bound attributes: empty, edge-order prefixes, the
-    # non-prefixes wander binds, and full
+    # under every set of bound attributes: empty, partial and full
     schema, raw, probes = bag
     db = Database()
     db.load("R", schema, raw)
@@ -253,13 +253,13 @@ def test_probes_match_brute_force(bag, seed):
                 assert plan.edge_degree(edge, s) == want     # a cache hit
                 assert ops.n == before + 2 and len(plan._deg_cache) == size
 
-                # the bound-first index (wander, components) always takes s;
-                # the edge-order index (DRS, GJ, alley) only as a prefix
-                for idx in (plan.bound_index(edge, s), plan.index_for(edge)):
-                    if tuple(a for a in idx.order if a in s) != idx.order[:k]:
-                        with pytest.raises(UnsupportedOrderError):
-                            idx.sample_row(s, random.Random(seed))
-                        continue
+                # every index a probe or a row draw reads takes s as a
+                # prefix: the bound-first index (wander, components) and
+                # DRS's, with each attribute s leaves unbound next
+                nexts = [a for a in schema if a not in s]
+                for idx in (plan.bound_index(edge, s),
+                            *(bound_first_index(db, edge, s, a) for a in nexts)):
+                    assert tuple(a for a in idx.order if a in s) == idx.order[:k]
                     perm = [schema.index(a) for a in idx.order]
                     ordered = [tuple(r[p] for p in perm) for r in rows]
                     before = ops.n
