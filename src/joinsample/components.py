@@ -64,6 +64,7 @@ class ComponentPlan:
         self.fallback = bool(self.cross_edges)
         by_id = {e.eid: e for e in query.edges}
         self.components = []
+        self._first_column = {}   # cycle relation -> index incidence walks
         for kind, attrs, eids in comps:
             edges = [by_id[i] for i in eids]
             if kind == "cycle":
@@ -80,6 +81,8 @@ class ComponentPlan:
                         "canonicalization would bias the estimate"
                     )
                 self.components.append(Component("cycle", list(attrs), edges))
+                self._first_column[rel.name] = self.plan.bound_index(
+                    edges[0], edges[0].attrs[:1])
             else:
                 center, leaves = attrs, []
                 for e in edges:
@@ -94,9 +97,8 @@ class ComponentPlan:
         self.db.ops.add(1)
         if hit is not None:
             return hit
-        edge = next(e for e in self.plan.query.edges if e.relation == relname)
         # symmetric precondition makes both columns agree
-        n = 2 * self.plan.bound_index(edge, edge.attrs[:1])._walk((value,))[1]
+        n = 2 * self._first_column[relname]._walk((value,))[1]
         self._inc[key] = n
         return n
 

@@ -171,9 +171,7 @@ class Plan:
             return 1.0
         prod = 1.0
         for e, rest in self._leaf:
-            bound = {a: s[a] for a in e.attrs if a in s}
-            view = bound_first_index(self.db, e, bound).project(rest, bound, dedup=True)
-            n = view.size()
+            n = bound_first_index(self.db, e, s).project(rest, s, dedup=True).size()
             if n == 0:
                 return 0.0
             prod *= n

@@ -134,11 +134,7 @@ def edge_projections(db, edges, a, s):
     keys are a's values and whose counts are their supporting rows. GJ,
     alley and generic_join project through here; each projection charges
     one op."""
-    views = []
-    for e in edges:
-        bound = {x: s[x] for x in e.attrs if x in s}
-        views.append(bound_first_index(db, e, bound, a).project((a,), bound, dedup=True))
-    return views
+    return [bound_first_index(db, e, s, a).project((a,), s, dedup=True) for e in edges]
 
 
 @dataclass

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import build, oracle
 from joinsample import (
-    AlleyPlus, DRS, GJSample, Plan, QueryError, TrieIndex, WanderJoin,
-    derive_rng, estimate_with_guarantee, generic_card_est, generic_join,
+    AlleyPlus, DRS, GJSample, Plan, QueryError, TrieIndex, UnsupportedOrderError,
+    WanderJoin, derive_rng, estimate_with_guarantee, generic_card_est, generic_join,
     make_strategy, per_answer_probability, uniform_sample, variance_bound,
 )
 
@@ -79,6 +79,10 @@ def test_drs_draws_rows_that_agree_with_the_drawn_edges_bound_column(monkeypatch
         assert row[col] == s[col]
         values[col].add(db.interner.decode(row["A"]))
     assert values == {"B": {1, 2, 3}, "C": {1}}
+    # the draw is still checked: a binding that is not a prefix fails loudly
+    draw = plan.step_record(frozenset({"A"})).draws[0]
+    with pytest.raises(UnsupportedOrderError):
+        draw.sample_row({"A": s["B"]}, derive_rng("bound", "drs", 0))
 
 
 def test_table_step_records_agm_ratio():
