@@ -120,7 +120,7 @@ def bound_first_index(db, edge: Edge, bound, nxt=None):
     bound attributes, nxt), so every plan, join and check on that database
     finds each index once.
     """
-    key = (edge.relation, edge.attrs, tuple(a for a in edge.attrs if a in bound), nxt)
+    key = (edge.relation, edge.attrs, tuple([a for a in edge.attrs if a in bound]), nxt)
     idx = db.bound_first.get(key)
     if idx is None:
         order = sorted(edge.attrs, key=lambda a: (a not in bound, a != nxt, a))
