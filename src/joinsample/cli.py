@@ -25,7 +25,7 @@ from .estimators import (
 )
 from .exactweight import WeightIndex, WeightOverflowError, exact_uniform_sample
 from .ghd import GHD, check_ghd, choose_ghd, ghd_card_est, rho_star
-from .queries import QueryError, load_query_file, validate
+from .queries import QueryError, _names, load_query_file, validate
 from .relations import Database, EmptySemijoinError, SchemaError, load_relation_file
 from .wcoj import brute_force_join, generic_join
 
@@ -251,13 +251,22 @@ def cmd_sample(args) -> int:
 
 
 def _user_ghd(query) -> GHD:
-    doc = query.user_ghd
+    """The query file's ghd entry, type-checked field by field (exit 4)."""
+    doc = query.user_ghd if isinstance(query.user_ghd, dict) else {}
+    bags, edges, root = doc.get("bags"), doc.get("edges", []), doc.get("root", 0)
+    if not isinstance(bags, list):
+        raise QueryError(f"ghd bags must be an array of arrays of strings: {bags!r}")
+    bags = [frozenset(_names(b, f"ghd bag {i}")) for i, b in enumerate(bags)]
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int
+            for e in edges):
+        raise QueryError(f"ghd edges must be an array of pairs of ints: {edges!r}")
+    if type(root) is not int:   # JSON true and false are Python ints too
+        raise QueryError(f"ghd root must be an int: {root!r}")
     try:
-        bags = [frozenset(b) for b in doc["bags"]]
-        edges = [tuple(e) for e in doc.get("edges", [])]
-        return GHD(bags, edges, root=doc.get("root", 0))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise CliError(EXIT_VALIDATE, f"malformed ghd entry: {exc}")
+        return GHD(bags, [tuple(e) for e in edges], root=root)
+    except KeyError as exc:
+        raise QueryError(f"ghd edges or root name no bag: {exc}") from None
 
 
 def _reject_projection(query, what):

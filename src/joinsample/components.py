@@ -33,7 +33,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .estimators import Plan, seeded_mean
-from .queries import Hypergraph, QueryError, half_integral_cover, relation_sizes
+from .queries import (
+    Hypergraph, QueryError, bound_first_index, half_integral_cover, relation_sizes,
+)
 
 
 @dataclass
@@ -81,8 +83,8 @@ class ComponentPlan:
                         "canonicalization would bias the estimate"
                     )
                 self.components.append(Component("cycle", list(attrs), edges))
-                self._first_column[rel.name] = self.plan.bound_index(
-                    edges[0], edges[0].attrs[:1])
+                self._first_column[rel.name] = bound_first_index(
+                    db, edges[0], edges[0].attrs[:1])
             else:
                 center, leaves = attrs, []
                 for e in edges:
@@ -158,7 +160,7 @@ def _canonical_weight(cplan, relname, vals):
 
 def _row_for(cplan, edge, rng):
     """Uniform row of the edge's relation; (assignment fragment, multiplicity)."""
-    idx = cplan.plan.bound_index(edge, {})
+    idx = bound_first_index(cplan.db, edge, {})
     row = idx.sample_row({}, rng)
     frag = dict(zip(idx.order, row))
     mult = cplan.plan.edge_degree(edge, frag)
@@ -199,8 +201,8 @@ def _back_view(cplan, comp, a):
     max(1, size) ops."""
     start = comp.attrs[0]
     bound = {start: a[start]}
-    idx = cplan.plan.bound_index(comp.edges[-1], bound)
-    view = idx.project((comp.attrs[-1],), bound, dedup=True)
+    idx = bound_first_index(cplan.db, comp.edges[-1], bound)
+    view = idx.project((comp.attrs[-1],), bound)
     no = view.size()
     cplan.db.ops.add(max(1, no))
     return view, no
@@ -258,7 +260,7 @@ def _star_trial_sste(cplan, comp, rng):
         deg = cplan.plan.edge_degree(e, bound)
         if deg == 0:
             return 0.0, []
-        idx = cplan.plan.bound_index(e, bound)
+        idx = bound_first_index(cplan.db, e, bound)
         row = idx.sample_row(bound, rng)
         got = dict(zip(idx.order, row))
         mult = cplan.plan.edge_degree(e, got)
@@ -326,7 +328,7 @@ def _cycle_trial_sust(cplan, comp, rng):
     else:
         # heavy start: random row, random endpoint, thin to flatten P(c); the
         # relation is symmetric, so the back edge's column order is immaterial
-        row = cplan.plan.bound_index(edges[-1], {}).sample_row({}, rng)
+        row = bound_first_index(cplan.db, edges[-1], {}).sample_row({}, rng)
         c = a[w] = row[rng.randrange(2)]
         inc_c = cplan.incidence(relname, c)
         if inc_c < inc0 or rng.random() >= math.sqrt(nrel) / inc_c:

@@ -46,7 +46,6 @@ from .queries import (
     QueryError,
     agm,
     bound_first_index,
-    edge_projections,
     fractional_edge_cover,
     relation_sizes,
     validate,
@@ -72,7 +71,8 @@ class Plan:
 
     Every probe, projection and row draw reads the bound-first index of its
     edge (queries.bound_first_index, the one order rule), which the database
-    keeps for every plan; bound_index is that lookup for a binding.
+    keeps for every plan. The step records and _leaf (leaf_value's) hold
+    the ones a trial reads, resolved once per plan.
 
     step_record(remaining) is the step at one depth of a trial: a _Step
     memoised per remaining set, holding what a step reads that depends
@@ -81,10 +81,9 @@ class Plan:
 
     _deg_cache is the plan's one probe memo. It holds edge degrees, keyed
     by (eid, column values), and step tables, keyed by a strategy tag
-    ("gj" or "alley"), the attribute a, GJ's remaining set and the values
-    bound on the attributes of the edges containing a (the record's near).
-    The tag is a string and an eid an int, so the two kinds of key never
-    meet.
+    ("gj" or "alley"), the attribute a and the values bound on the
+    attributes of the edges containing a (the record's near). The tag is a
+    string and an eid an int, so the two kinds of key never meet.
     Emptying the memo forgets both; no probe's op charge depends on it.
     """
 
@@ -110,8 +109,9 @@ class Plan:
         if self.sampled != set(query.attributes) - self.skipped:
             raise QueryError("elimination order must cover every sampled attribute")
         self.e_I = {a: query.edges_containing(a) for a in query.attributes}
-        # leaf_value's skipped columns, sorted, per edge that has any
-        self._leaf = [(e, rest) for e in query.edges
+        # leaf_value's index and skipped columns, sorted, per edge that has any
+        self._leaf = [(bound_first_index(db, e, self.sampled), rest)
+                      for e in query.edges
                       if (rest := tuple(sorted(e.attr_set & self.skipped)))]
         self._deg_cache = {}
         self._steps = {}     # remaining -> _Step
@@ -129,26 +129,21 @@ class Plan:
             rec = self._steps[remaining] = _Step(self, remaining)
         return rec
 
-    def bound_index(self, edge, s):
-        """The bound-first index of edge under binding s, whose order starts
-        with the attributes s binds."""
-        return bound_first_index(self.db, edge, s)
-
     def edge_degree(self, edge, s) -> int:
         """|R_F ⋉ s| restricted to the attrs of F bound in s, memoized.
 
         Keyed by the edge's column values, None where unbound (values are
-        interned ints); a miss walks bound_index's index. The op meter is
-        charged whether or not the cache hits: the cache is a shortcut of
-        this implementation, not of the cost model. WanderJoin's resolved
-        probes (_degree) read and fill the same entries.
+        interned ints); a miss walks the edge's bound-first index for s. The
+        op meter is charged whether or not the cache hits: the cache is a
+        shortcut of this implementation, not of the cost model. WanderJoin's
+        resolved probes (_degree) read and fill the same entries.
         """
         key = (edge.eid, *map(s.get, edge.attrs))
         self.db.ops.n += 1
         hit = self._deg_cache.get(key)
         if hit is not None:
             return hit
-        idx = self.bound_index(edge, s)
+        idx = bound_first_index(self.db, edge, s)
         deg = self._deg_cache[key] = idx._walk([s[a] for a in idx.order if a in s])[1]
         return deg
 
@@ -167,11 +162,9 @@ class Plan:
         return table
 
     def leaf_value(self, s) -> float:
-        if not self.skipped:
-            return 1.0
         prod = 1.0
-        for e, rest in self._leaf:
-            n = bound_first_index(self.db, e, s).project(rest, s, dedup=True).size()
+        for idx, rest in self._leaf:
+            n = idx.project(rest, s).size()
             if n == 0:
                 return 0.0
             prod *= n
@@ -218,13 +211,17 @@ class _Step:
     """One depth of a trial: what a step on `remaining` reads that depends
     only on the query and remaining, never on data.
 
+    A step reads only its record and its binding s, which binds exactly the
+    sampled attributes outside remaining: generic_card_est checks this
+    split, and _estimate and uniform_sample keep it through left.
+
     attr, edges, near: the next attribute in the elimination order, the
     edges containing it (e_I order) and every attribute of those edges,
     all a step on attr reads of the binding (DRS, GJ, alley).
     terms: plan.agm_terms(remaining, attr).
-    draws: per edge of edges, the bound-first index DRS draws its row from:
-    the sampled attributes outside remaining first, then attr, so attr's
-    value directly follows the binding in the drawn row.
+    draws: per edge of edges, the bound-first index with the sampled
+    attributes outside remaining first, then attr: DRS draws its row from
+    it, and GJ and alley project attr off it (projections).
     left: remaining once a step bound a tuple of attributes, by that tuple:
     (attr,), and wander's I once its record is built.
     walk: WanderJoin's record, built on first use.
@@ -241,6 +238,10 @@ class _Step:
         self.draws = tuple(bound_first_index(plan.db, e, bound, a) for e in self.edges)
         self.left = {(a,): remaining - {a}}
         self.walk = None
+
+    def projections(self, s):
+        """π_attr(R_F ⋉ s) per edge F of edges, as Views off draws; one op each."""
+        return [idx.project((self.attr,), s) for idx in self.draws]
 
 
 def min_degree_order(query: Hypergraph):
@@ -267,8 +268,7 @@ class WanderJoin:
     that bound their last attribute.
 
     The step reads its edge, its probes and their indexes off the step
-    record's _Walk, which assumes s binds exactly the sampled attributes
-    outside remaining (generic_card_est checks this once per call).
+    record's _Walk (see _Step for the binding every record assumes).
     """
 
     name = "wander"
@@ -292,8 +292,7 @@ class WanderJoin:
 
 
 class _Walk:
-    """WanderJoin's step on `remaining`, for a binding of exactly the
-    sampled attributes outside it.
+    """WanderJoin's step on `remaining`.
 
     I: the attributes of the first edge with any in remaining, sorted.
     base: that edge's degree probe before the step. A probe is (eid, edge
@@ -321,7 +320,7 @@ class _Walk:
 
 def _probe(plan, edge, bound):
     """A degree probe of edge under a binding of the attributes `bound`."""
-    idx = plan.bound_index(edge, bound)
+    idx = bound_first_index(plan.db, edge, bound)
     return edge.eid, edge.attrs, idx, tuple(a for a in idx.order if a in bound)
 
 
@@ -360,7 +359,7 @@ class AlleyPlus:
         rec = plan.step_record(remaining)
         a = rec.attr
         omega, scan = plan.step_table(("alley", a, *map(s.get, rec.near)), a,
-                                      lambda: _intersection(plan, a, s))
+                                      lambda: _intersection(rec, s))
         plan.db.ops.n += scan
         n = len(omega)
         if n == 0:
@@ -372,9 +371,9 @@ class AlleyPlus:
         return StepOutcome((a,), samples, k=k)
 
 
-def _intersection(plan, a, s):
+def _intersection(rec, s):
     """(Ω as a tuple, the scan's op charge) for AlleyPlus.step."""
-    views = edge_projections(plan.db, plan.e_I[a], a, s)
+    views = rec.projections(s)
     smallest = min(views, key=View.size)
     rest = [v for v in views if v is not smallest]
     omega = tuple(c for (c,) in smallest if all(v.count_of((c,)) for v in rest))
@@ -394,9 +393,9 @@ class GJSample:
     candidate whose running sum exceeds u. Probabilities are the same floats
     agm_ratio computes (same edge order, same expressions).
 
-    A table reads only a, remaining and the values bound on the step
-    record's near, so it is kept in the plan's probe memo under those and
-    built once per plan; a later step with the same key only draws from it.
+    A table reads only a and the values s binds on the record's near (None
+    where unbound), so the plan's probe memo keeps it under those, built
+    once per plan; a later step with the same key only draws from it.
 
     The op meter is charged for the full table on every step, memo hit or
     not: one op per projection, one degree probe per edge for deg1,
@@ -414,9 +413,9 @@ class GJSample:
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         rec = plan.step_record(remaining)
         a = rec.attr
-        key = ("gj", a, remaining, *map(s.get, rec.near))
+        key = ("gj", a, *map(s.get, rec.near))
         cands, probs, cum, lookups, cost = plan.step_table(
-            key, a, lambda: _gj_table(plan, rec, s))
+            key, a, lambda: _gj_table(rec, s))
         plan.db.ops.n += cost
         u = rng.random()
         i = bisect.bisect_right(cum, u)   # the first candidate with u < acc
@@ -427,11 +426,11 @@ class GJSample:
         return StepOutcome((a,), [])  # failure symbol: leftover mass, or Ω empty
 
 
-def _gj_table(plan, rec, s):
+def _gj_table(rec, s):
     """GJSample's table on the record's attribute: (candidates,
     probabilities, running sums, deg2 lookup per edge with None for Ω's own
     view, the step's op charge beyond the projections)."""
-    views = edge_projections(plan.db, rec.edges, rec.attr, s)
+    views = rec.projections(s)
     smallest = min(views, key=View.size)
     n = smallest.size()
     cost = len(views) + max(1, n) + len(views) * n

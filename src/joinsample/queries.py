@@ -131,10 +131,9 @@ def bound_first_index(db, edge: Edge, bound, nxt=None):
 def edge_projections(db, edges, a, s):
     """π_a(R_F ⋉ s) for each edge F of `edges`, which all contain a, in that
     order: one View per edge, read off bound_first_index(db, F, s, a), whose
-    keys are a's values and whose counts are their supporting rows. GJ,
-    alley and generic_join project through here; each projection charges
-    one op."""
-    return [bound_first_index(db, e, s, a).project((a,), s, dedup=True) for e in edges]
+    keys are a's values and whose counts are their supporting rows. Only
+    generic_join, which picks a from the data, projects here; one op each."""
+    return [bound_first_index(db, e, s, a).project((a,), s) for e in edges]
 
 
 @dataclass
@@ -408,6 +407,9 @@ def parse_query_text(text: str) -> Query:
                  for i, e in enumerate(doc["edges"])]
     except (KeyError, TypeError) as exc:
         raise QueryError(f"query file missing field: {exc}") from exc
+    for i, (_, relation) in enumerate(edges):
+        if not isinstance(relation, str):
+            raise QueryError(f"edge {i} relation must be a JSON string: {relation!r}")
     hg = Hypergraph(attrs, edges)
     projection = _names(doc.get("projection") or [], "projection") or None
     if projection and len(set(projection)) != len(projection):

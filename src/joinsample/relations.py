@@ -229,7 +229,7 @@ class TrieIndex:
             node = node.children[i]
         return tuple(out)
 
-    def project(self, attrs, s, dedup: bool):
+    def project(self, attrs, s):
         """View of π_attrs(R ⋉ s); attrs must directly follow the bound prefix."""
         self._charge()
         attrs = tuple(attrs)
@@ -240,28 +240,23 @@ class TrieIndex:
                 f"projection {attrs} does not follow prefix {bound} in order {self.order}"
             )
         node, _ = self._walk([s[a] for a in bound])
-        return View(self, node, want, dedup)
+        return View(self, node, want)
 
 
 class View:
-    """Handle over π_I(R ⋉ s) for one index node.
-
-    dedup=True ranges over distinct I-values; dedup=False weights them by the
-    number of supporting rows. Single-attribute views are O(1)/O(log); wider
-    ones walk the subtrie (fine at the scales this package targets).
+    """Handle over π_I(R ⋉ s) for one index node, ranging over distinct
+    I-values. Single-attribute views are O(1)/O(log); wider ones walk the
+    subtrie (fine at the scales this package targets).
     """
 
-    def __init__(self, index, node, attrs, dedup):
+    def __init__(self, index, node, attrs):
         self.index = index
         self.node = node
         self.attrs = attrs
-        self.dedup = dedup
 
     def size(self) -> int:
         if self.node is None:
             return 0
-        if not self.dedup:
-            return self.node.cum[-1]
         if len(self.attrs) == 1:
             return len(self.node.keys)
         return sum(1 for _ in self._walk(self.node, len(self.attrs)))
@@ -286,19 +281,10 @@ class View:
         self.index._charge()
         if self.node is None or self.size() == 0:
             raise EmptySemijoinError("sample() on an empty view")
-        if self.dedup:
-            if len(self.attrs) == 1:
-                return (self.node.keys[rng.randrange(len(self.node.keys))],)
-            combos = list(self)
-            return combos[rng.randrange(len(combos))]
-        node = self.node
-        out = []
-        for _ in self.attrs:
-            x = rng.randrange(node.cum[-1])
-            i = bisect.bisect_right(node.cum, x) - 1
-            out.append(node.keys[i])
-            node = node.children[i]
-        return tuple(out)
+        if len(self.attrs) == 1:
+            return (self.node.keys[rng.randrange(len(self.node.keys))],)
+        combos = list(self)
+        return combos[rng.randrange(len(combos))]
 
     def rows(self) -> int:
         """|R ⋉ s|: the rows under this view's node, with multiplicity."""

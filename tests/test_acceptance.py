@@ -247,7 +247,7 @@ def _walk_inequalities(db, hq):
         cand = set()
         for e in edges:
             bound = {x: s[x] for x in e.attrs if x in s}
-            for (v,) in bound_first_index(plan.db, e, bound, a).project((a,), bound, dedup=True):
+            for (v,) in bound_first_index(plan.db, e, bound, a).project((a,), bound):
                 cand.add(v)
         sum_ratio = 0.0
         sum_rmax = 0.0

@@ -224,6 +224,34 @@ def test_a_bad_projection_list_is_a_load_error(tmp_path, capsys, argv, projectio
     assert "projection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["join", "ghd"])
+def test_a_relation_that_is_not_a_string_is_a_load_error(tmp_path, capsys, cmd):
+    raw = {"R": (("A", "B"), [(1, 2)]), "S": (("B", "C"), [(2, 3), (2, 6)])}
+    qdoc = {"attributes": ["A", "B", "C"],
+            "edges": [{"relation": ["R"], "vars": ["A", "B"]},
+                      {"relation": "S", "vars": ["B", "C"]}]}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main([cmd, dbdir, qpath]) == 3
+    assert "edge 0 relation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ghd, field", [
+    ({"bags": ["AB", "BC"], "edges": [[0, 1]]}, "ghd bag 0"),
+    ({"bags": "ABC", "edges": []}, "ghd bags"),
+    ({"bags": [["A", "B"], ["B", "C"]], "edges": [[True, False]]}, "ghd edges"),
+    ({"bags": [["A", "B"], ["B", "C"]], "edges": [[0, 1, 2]]}, "ghd edges"),
+    ({"bags": [["A", "B"], ["B", "C"]], "edges": [[0, 1]], "root": 0.0}, "ghd root"),
+])
+def test_a_ghd_field_of_the_wrong_type_is_invalid(tmp_path, capsys, ghd, field):
+    raw = {"R": (("A", "B"), [(1, 2)]), "S": (("B", "C"), [(2, 3), (2, 6)])}
+    qdoc = {"attributes": ["A", "B", "C"], "ghd": ghd,
+            "edges": [{"relation": "R", "vars": ["A", "B"]},
+                      {"relation": "S", "vars": ["B", "C"]}]}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main(["ghd", dbdir, qpath]) == 4
+    assert field in capsys.readouterr().err
+
+
 def test_ghd_search_reports_fhtw_on_cyclic_fixtures(tmp_path, capsys):
     for name, want in (("sym-5cyc", "2"), ("k4", "2"), ("sym-mixed", "3/2")):
         (tmp_path / name).mkdir()

@@ -9,10 +9,12 @@ equal StepOutcomes (probabilities compared with ==), charge equal ops and
 leave the rng in the same state.
 
 GJSample keeps each table in the plan's probe memo, and the reference does
-not. Every step of one example runs on the same plan, alternating the full
-remaining set with a drawn subset of it (the next attribute kept), so a
-memo key that missed anything the table reads would hand one step the
-other's table and fail the comparison.
+not. Every step of one example runs on the same plan, alternating two
+splits of the sampled attributes with the same next attribute: the full
+remaining set, and a drawn subset of it (the next attribute kept) with the
+attributes left out bound to drawn values. So a memo key that missed
+anything the table reads would hand one step the other's table and fail
+the comparison.
 """
 
 import itertools
@@ -52,7 +54,7 @@ def reference_step(plan, remaining, s, rng) -> StepOutcome:
     best = None
     for e in edges:
         bound = {x: s[x] for x in e.attrs if x in s}
-        view = bound_first_index(plan.db, e, bound, a).project((a,), bound, dedup=True)
+        view = bound_first_index(plan.db, e, bound, a).project((a,), bound)
         key = (view.size(), e.eid)
         if best is None or key < best[0]:
             best = (key, view)
@@ -103,7 +105,10 @@ def cases(draw):
     stray = draw(st.none() | st.integers(0, DOMAIN - 1))
     step_seeds = draw(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=8))
     keep = draw(st.lists(st.booleans(), min_size=len(attrs), max_size=len(attrs)))
-    return shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds, keep
+    fill = draw(st.lists(st.integers(0, DOMAIN - 1), min_size=len(attrs),
+                         max_size=len(attrs)))
+    return (shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds,
+            keep, fill)
 
 
 def _plan(shape, rows, order, skip, weights):
@@ -142,23 +147,27 @@ def _prefix(plan, walk_seed, depth, stray):
           {"R": [(0, 0)] + [(0, 1)] * 5 + [(1, 1)], "T": [(0, 0, 0)]},
           ("D", "B", "C", "A"), False,
           {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 3)}, 0, 0, None, [1],
-          [True] * 4))
+          [True] * 4, [0] * 4))
 def test_one_pass_table_matches_per_candidate_table(case):
-    shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds, keep = case
+    (shape, rows, order, skip, weights, walk_seed, depth, stray, step_seeds,
+     keep, fill) = case
     plan = _plan(shape, rows, order, skip, weights)
     s = _prefix(plan, walk_seed, depth, stray)
     unbound = [a for a in plan.elim if a not in s]
-    # the next attribute and any subset of the later ones: the table reads
-    # remaining, so a step on the same plan must not reuse the other's table
-    partial = frozenset(unbound[:1] + [a for a, k in zip(unbound[1:], keep) if k])
+    # the next attribute and any subset of the later ones, the rest bound:
+    # the table reads which of its edges' attributes are unbound, so a step
+    # on the same plan must not reuse the other split's table
+    bind = {a: plan.db.interner.intern(v)
+            for a, k, v in zip(unbound[1:], keep, fill) if not k}
+    splits = ((frozenset(unbound), s), (frozenset(unbound) - set(bind), {**s, **bind}))
     ops = plan.db.ops
-    for seed, remaining in itertools.product(step_seeds, (frozenset(unbound), partial)):
+    for seed, (remaining, b) in itertools.product(step_seeds, splits):
         rng_new, rng_ref = random.Random(seed), random.Random(seed)
         before = ops.n
-        got = GJSample().step(plan, remaining, dict(s), rng_new)
+        got = GJSample().step(plan, remaining, dict(b), rng_new)
         spent = ops.n - before
         before = ops.n
-        want = reference_step(plan, remaining, dict(s), rng_ref)
+        want = reference_step(plan, remaining, dict(b), rng_ref)
         assert got == want
         assert spent == ops.n - before
         assert rng_new.getstate() == rng_ref.getstate()

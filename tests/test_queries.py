@@ -254,13 +254,16 @@ def test_residual_agm_finds_its_indexes_on_the_database(monkeypatch):
     first = [residual_agm(db, hq, cover, {"B", "C"}, s) for s in bindings]
     calls = _count_edge_index_calls(monkeypatch)
     again = [residual_agm(db, hq, cover, {"B", "C"}, s) for s in bindings]
-    # a plan over the same edges reads the same entries
-    plan = Plan(db, hq)
-    for e in hq.edges:
-        for s in bindings:
-            assert plan.bound_index(e, s) is bound_first_index(db, e, s)
     assert again == first
     assert calls == []
+    # a plan's step records hold the database's own entries
+    plan = Plan(db, hq)
+    for k in range(len(plan.elim)):
+        rec = plan.step_record(frozenset(plan.elim[k:]))
+        built = len(calls)
+        for e, idx in zip(rec.edges, rec.draws):
+            assert idx is bound_first_index(db, e, plan.elim[:k], rec.attr)
+        assert len(calls) == built
 
 
 def test_bound_first_indexes_are_kept_per_column_names():
@@ -314,8 +317,9 @@ def _matching_rows(db, edge, s):
 @settings(max_examples=200, deadline=None, database=None)
 @given(_projection_cases())
 def test_projections_and_leaf_counts_match_brute_force(case):
-    # edge_projections (GJ, alley, generic_join) and leaf_value read the
-    # bound-first indexes; here they meet π_a(R_F ⋉ s) off the rows
+    # edge_projections (generic_join), the step records' projections (GJ,
+    # alley) and leaf_value read the bound-first indexes; here they meet
+    # π_a(R_F ⋉ s) off the rows
     db, plan, ids, depth = case
     s = {a: ids[a] for a in plan.elim[:depth]}
     for a in plan.query.attributes:
@@ -332,6 +336,11 @@ def test_projections_and_leaf_counts_match_brute_force(case):
         for e, idx in zip(rec.edges, rec.draws):
             bound = sorted(x for x in e.attrs if x in s)
             assert idx.order[:len(bound) + 1] == (*bound, rec.attr)
+        # GJ and alley project the record's attribute off those indexes
+        for e, view in zip(rec.edges, rec.projections(s)):
+            want = Counter(r[rec.attr] for r in _matching_rows(db, e, s))
+            assert dict(view.items()) == want
+            assert view.size() == len(want) and view.rows() == sum(want.values())
     s = {a: ids[a] for a in plan.elim}
     want = 1.0
     for e in plan.query.edges:

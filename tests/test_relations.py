@@ -80,10 +80,9 @@ def test_sample_row_weighted_by_multiplicity():
 def test_project_dedup_and_counts():
     db = small_db()
     idx = db.index("R", ("A", "B"))
-    view = idx.project(("A",), {}, dedup=True)
+    view = idx.project(("A",), {})
     assert view.size() == 2
-    bag = idx.project(("A",), {}, dedup=False)
-    assert bag.size() == 4
+    assert view.rows() == 4
     a0 = db.interner.intern(0)
     assert view.count_of((a0,)) > 0
 
@@ -92,23 +91,23 @@ def test_view_rows_and_items():
     db = small_db()
     idx = db.index("R", ("A", "B"))
     a0, b1, b2 = (db.interner.intern(v) for v in (0, 1, 2))
-    top = idx.project(("A",), {}, dedup=True)
+    top = idx.project(("A",), {})
     assert top.rows() == 4
     assert list(top.items()) == [(a0, 3), (db.interner.intern(1), 1)]
-    under = idx.project(("B",), {"A": a0}, dedup=True)
+    under = idx.project(("B",), {"A": a0})
     assert under.rows() == 3
     assert list(under.items()) == [(b1, 2), (b2, 1)]
     assert all(under.count_of((v,)) == n for v, n in under.items())
-    absent = idx.project(("B",), {"A": db.interner.intern(7)}, dedup=True)
+    absent = idx.project(("B",), {"A": db.interner.intern(7)})
     assert absent.rows() == 0 and list(absent.items()) == []
     with pytest.raises(ValueError):
-        idx.project(("A", "B"), {}, dedup=True).items()
+        idx.project(("A", "B"), {}).items()
 
 
 def test_view_sample_empty_raises():
     db = Database()
     db.load("R", ("A",), [])
-    view = db.index("R", ("A",)).project(("A",), {}, dedup=True)
+    view = db.index("R", ("A",)).project(("A",), {})
     with pytest.raises(EmptySemijoinError):
         view.sample(random.Random(0))
 
@@ -257,7 +256,7 @@ def test_probes_match_brute_force(bag, seed):
                 # prefix: the bound-first index (wander, components) and
                 # DRS's, with each attribute s leaves unbound next
                 nexts = [a for a in schema if a not in s]
-                for idx in (plan.bound_index(edge, s),
+                for idx in (bound_first_index(plan.db, edge, s),
                             *(bound_first_index(db, edge, s, a) for a in nexts)):
                     assert tuple(a for a in idx.order if a in s) == idx.order[:k]
                     perm = [schema.index(a) for a in idx.order]
@@ -321,12 +320,11 @@ def test_shared_tries_answer_as_tries_built_alone(case, seed):
                     ra, rb = random.Random(seed), random.Random(seed)
                     assert shared.sample_row(s, ra) == alone.sample_row(s, rb)
                     assert ra.getstate() == rb.getstate()
-                for dedup in (True, False):
-                    va = shared.project(order[k:k + 1], s, dedup)
-                    vb = alone.project(order[k:k + 1], s, dedup)
-                    assert list(va.items()) == list(vb.items())
-                    assert va.size() == vb.size() and va.rows() == vb.rows()
-                    assert all(va.count_of((v,)) == vb.count_of((v,)) for v in values)
+                va = shared.project(order[k:k + 1], s)
+                vb = alone.project(order[k:k + 1], s)
+                assert list(va.items()) == list(vb.items())
+                assert va.size() == vb.size() and va.rows() == vb.rows()
+                assert all(va.count_of((v,)) == vb.count_of((v,)) for v in values)
     # one trie per column permutation, whatever the names
     roots = {id(db.index("E", order, attrs).root) for attrs, order in edges}
     assert len(roots) == len(perms) == len(db._tries)

@@ -24,6 +24,7 @@ from joinsample import (
     generic_join, uniform_sample,
 )
 from joinsample.estimators import StepOutcome
+from joinsample.queries import bound_first_index
 
 FIXTURES = sorted(CORPUS)
 STRATEGIES = {
@@ -42,7 +43,7 @@ def reference_step(plan, remaining, s, rng) -> StepOutcome:
     base = plan.edge_degree(edge, s)
     if base == 0:
         return StepOutcome(I, [])
-    idx = plan.bound_index(edge, s)
+    idx = bound_first_index(plan.db, edge, s)
     row = idx.sample_row(s, rng)
     frag = {a: v for a, v in zip(idx.order, row) if a in I}
     s2 = {**s, **frag}
