@@ -2,11 +2,14 @@
 
 The cover LP (minimize Σ x_F·log|R_F| subject to Σ_{F∋v} x_F ≥ 1 and
 x_F ≥ 0) is solved exactly over rationals by enumerating basic feasible
-solutions; queries are tiny, so the polyhedron has few vertices. Objectives
-are compared without floats by raising the integer sizes to L·x_F powers
-(L = lcm of the exponent denominators) and comparing the resulting big
-integers, so tie-breaking is deterministic: among optima, the
-lexicographically smallest weight vector wins.
+solutions; queries are tiny, so the polyhedron has few vertices. Each
+candidate vertex is the solution of m tight rows with 0/1 coefficients,
+found by fraction-free (Bareiss) elimination in integers; only its m
+weights become Fractions. Objectives are compared without floats by
+raising the integer sizes to L·x_F powers (L = lcm of the exponent
+denominators) and comparing the resulting big integers, so tie-breaking is
+deterministic: among optima, the lexicographically smallest weight vector
+wins.
 
 No x_F ≤ 1 rows are needed: costs log|R_F| are ≥ 0, so lowering a weight
 above 1 to 1 keeps a cover feasible at no higher cost. The lexicographically
@@ -191,8 +194,9 @@ def fractional_edge_cover(query: Hypergraph, sizes) -> Cover:
 
     Enumerates basic feasible solutions: every vertex is the unique solution
     of m tight rows drawn from the cover rows and the rows x_F = 0 (no
-    x_F = 1 rows; see the module docstring). Deterministic tie-break:
-    lexicographically smallest weight vector (by eid) among optima.
+    x_F = 1 rows; see the module docstring), solved in integers by
+    `_solve_exact`. Deterministic tie-break: lexicographically smallest
+    weight vector (by eid) among optima.
     """
     m = len(query.edges)
     sizes_by_eid = {e.eid: int(sizes[e.eid]) for e in query.edges}
@@ -202,11 +206,11 @@ def fractional_edge_cover(query: Hypergraph, sizes) -> Cover:
     rows = []
     for a in query.attributes:
         coeffs = [1 if a in e.attr_set else 0 for e in query.edges]
-        rows.append((coeffs, Fraction(1)))
+        rows.append((coeffs, 1))
     for j in range(m):
         coeffs = [0] * m
         coeffs[j] = 1
-        rows.append((coeffs, Fraction(0)))
+        rows.append((coeffs, 0))
 
     best = None
     for combo in itertools.combinations(range(len(rows)), m):
@@ -232,20 +236,34 @@ def _lex_key(cover: Cover):
 
 
 def _solve_exact(tight_rows, m):
-    """Solve the m×m rational system; None when singular."""
-    a = [list(map(Fraction, coeffs)) + [rhs] for coeffs, rhs in tight_rows]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+    """Solve the m×m system of integer rows (coeffs, rhs) exactly; None
+    when singular.
+
+    Fraction-free Gauss–Jordan (Bareiss): eliminating column k replaces
+    every other row by (p·row − row[k]·pivot row) / prev, where p is this
+    pivot and prev the one before. Each entry is then a minor of the
+    augmented matrix, so every division is exact and the entries stay
+    integers; at the end each diagonal entry is the last pivot, ±det, and
+    x_i = row_i[m] / det is the only Fraction built per value. Pivots are
+    the ones elimination over rationals takes (the first nonzero entry at
+    or below the diagonal), so a system is reported singular exactly when
+    that elimination finds it so, and otherwise gets the same solution.
+    """
+    a = [[*coeffs, rhs] for coeffs, rhs in tight_rows]
+    prev = 1
+    for k in range(m):
+        piv = next((r for r in range(k, m) if a[r][k]), None)
         if piv is None:
             return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+        a[k], a[piv] = a[piv], a[k]
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(m):
+            f = a[i][k]
+            if i != k and (f or p != prev):  # else the row is unchanged
+                a[i] = [(p * v - f * w) // prev for v, w in zip(a[i], pivot_row)]
+        prev = p
+    return [Fraction(a[i][m], prev) for i in range(m)]
 
 
 def agm(cover: Cover, sizes) -> AgmValue:

@@ -91,6 +91,24 @@ def _solve_fraction(rows, rhs):
     return [mat[r][n] for r in range(n)]
 
 
+def fraction_solve(tight_rows, m):
+    """Gauss–Jordan over Fractions on m rows (coeffs, rhs): the cover LP's
+    vertex solver before it eliminated in integers. None when singular."""
+    a = [list(map(Fraction, coeffs)) + [Fraction(rhs)] for coeffs, rhs in tight_rows]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [v / inv for v in a[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][m] for r in range(m)]
+
+
 def _agm_cmp(x1, x2, sizes):
     """Compare prod(sizes**x) exactly: -1, 0, or 1."""
     exps = [a - b for a, b in zip(x1, x2)]

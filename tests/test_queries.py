@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -205,6 +206,32 @@ def test_half_integral_cover_equals_the_3m_reference(case):
         [e.attrs for e in hq.edges], sizes)
     assert [cover.weights[e.eid] for e in hq.edges] == weights
     assert comps == ref_comps
+
+
+@st.composite
+def _square_systems(draw):
+    """(rows, m): m rows (coeffs, rhs) over m unknowns, coefficients and
+    right-hand sides 0 or 1, as the cover LP's tight rows are; most are
+    singular."""
+    m = draw(st.integers(1, 7))
+    bit = st.integers(0, 1)
+    rows = draw(st.lists(st.tuples(st.lists(bit, min_size=m, max_size=m), bit),
+                         min_size=m, max_size=m))
+    return rows, m
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_square_systems())
+@example(([([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 0, 1], 1)], 3))   # det 2
+@example(([([1, 1], 1), ([1, 1], 0)], 2))                          # singular
+def test_integer_solver_equals_the_fraction_oracle(case):
+    rows, m = case
+    want = oracles.fraction_solve(rows, m)
+    got = queries._solve_exact(rows, m)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want and all(type(x) is Fraction for x in got)
 
 
 def test_half_integral_cover_requires_binary_edges():

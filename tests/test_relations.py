@@ -367,3 +367,98 @@ def test_self_join_cycle_builds_one_trie_per_column_order(monkeypatch):
     assert db.index(k1, ("B",)).root is db.index(k2, ("C",)).root
     assert len(builds) == 3
     assert db.index(k2, ("C",)).relation is p2
+
+
+@pytest.mark.parametrize("token,value", [
+    (" 7 ", 7), ("-3", -3), ("+4", 4), ("1_000", 1000), ("x y", "x y"), ("", ""),
+])
+def test_parse_reads_each_token_as_int_or_stripped_string(token, value):
+    # a token int() accepts is that integer (int() strips it itself); any
+    # other token is kept as its stripped string, the empty one included
+    _, _, rows = parse_relation_file(f"R:A,B\n{token},0\n")
+    assert rows == [(value, 0)]
+    assert type(rows[0][0]) is type(value)
+
+
+def test_parse_keeps_the_integers_of_a_row_that_fails_mid_row():
+    _, _, rows = parse_relation_file("R:A,B,C\n1,x,3\n")
+    assert rows == [(1, "x", 3)]
+
+
+def test_parse_and_load_a_file_mixing_integer_and_string_rows():
+    name, schema, rows = parse_relation_file("R:A,B\n3,2\nb,3\n 1 ,a\n3,2\n")
+    assert rows == [(3, 2), ("b", 3), (1, "a"), (3, 2)]
+    rel = load_relation(name, schema, rows)
+    # one sorted batch per load: ints ascending, then strings ascending
+    assert [rel.interner.decode(i) for i in range(len(rel.interner))] == [1, 2, 3, "a", "b"]
+    assert rel.tuples == [(2, 1), (4, 2), (0, 3), (2, 1)]
+
+
+def test_arity_error_names_the_first_bad_row():
+    with pytest.raises(SchemaError, match=r"row \(3,\) has arity 1, schema has 2"):
+        load_relation("R", ("A", "B"), [(1, 2), (3,), (4, 5, 6), (7,)])
+    with pytest.raises(SchemaError, match=r"row \(4, 5, 6\) has arity 3"):
+        load_relation("R", ("A", "B"), [(1, 2), (4, 5, 6), (3,)])
+
+
+def test_loads_of_the_same_rows_give_the_same_ids_and_tuples():
+    rows = [(3, "b"), (1, "a"), (3, "a"), (1, "a")]
+    dbs = [Database(), Database()]
+    for db in dbs:
+        db.load("R", ("A", "B"), rows)
+        db.load("S", ("B", "C"), [("a", 9), ("c", 1)])
+    first, second = dbs
+    assert first.interner._values == second.interner._values == [1, 3, "a", "b", 9, "c"]
+    for name in ("R", "S"):
+        assert first.relation(name).tuples == second.relation(name).tuples
+    # a later load keeps the ids already handed out and numbers only its
+    # fresh values, in one sorted batch of their own
+    assert first.relation("R").tuples == [(1, 3), (0, 2), (1, 2), (0, 2)]
+    assert first.relation("S").tuples == [(2, 4), (5, 0)]
+
+
+def _trie_by_hand(rows):
+    """(keys, cum, children) of the trie over `rows`, tuples of one length,
+    grouped level by level with plain comparisons."""
+    keys = sorted({r[0] for r in rows})
+    cum, children = [0], []
+    for k in keys:
+        under = [r[1:] for r in rows if r[0] == k]
+        cum.append(cum[-1] + len(under))
+        children.append(_trie_by_hand(under) if under[0] else None)
+    return keys, cum, children
+
+
+def _trie_nodes(node):
+    if node is None:
+        return None
+    return node.keys, node.cum, [_trie_nodes(c) for c in node.children]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_bags())
+def test_projection_rows_and_tries_match_brute_force(bag):
+    # every naming of the columns, every subset of them kept (none, one,
+    # all), and every order of every trie over the relation and over each
+    # projection, against the rows themselves
+    schema, raw, _ = bag
+    db = Database()
+    rows = db.load("R", schema, raw).tuples
+    for order in itertools.permutations(schema):
+        assert _trie_nodes(db.index("R", order).root) == _trie_by_hand(
+            [tuple(t[schema.index(a)] for a in order) for t in rows])
+    for attrs in itertools.permutations(schema):
+        for k in range(len(schema) + 1):
+            for keep in itertools.combinations(schema, k):
+                key = db.projection("R", attrs, keep)
+                inter = tuple(sorted(keep))
+                positions = [attrs.index(a) for a in inter]
+                want = sorted({tuple(t[p] for p in positions) for t in rows})
+                proj = db.relation(key)
+                assert proj.schema == inter and proj.tuples == want
+                if not keep:
+                    assert want == [()]
+                    continue
+                for order in itertools.permutations(inter):
+                    assert _trie_nodes(db.index(key, order).root) == _trie_by_hand(
+                        [tuple(t[inter.index(a)] for a in order) for t in want])
