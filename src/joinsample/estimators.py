@@ -13,10 +13,11 @@ Strategies:
                 without replacement (b=1 degenerates to exact enumeration).
   GJSample    - explicit probability table proportional to the residual AGM
                 bound of each candidate, with a failure symbol for the
-                leftover mass. The table is built in one pass over the
-                smallest projection's trie node, kept in the plan's probe
-                memo, then drawn from; ops are charged per candidate per
-                edge on every step, memo hit or not.
+                leftover mass. The table reads each weighted edge's deg2
+                for all candidates at once as a degree column, computes
+                one probability per distinct tuple of deg2, is kept in the
+                plan's probe memo, then drawn from; ops are charged per
+                candidate per edge on every step, memo hit or not.
   DRS         - picks an edge uniformly, samples a row from it, and keeps the
                 value only if that edge maximizes the value's relative degree,
                 thinned so the kept probability is the AGM-bound ratio. No
@@ -39,6 +40,8 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import sub
 
 from .queries import (
     Cover,
@@ -222,12 +225,13 @@ class _Step:
     draws: per edge of edges, the bound-first index with the sampled
     attributes outside remaining first, then attr: DRS draws its row from
     it, and GJ and alley project attr off it (projections).
+    prefixes: per index of draws, the attributes s binds, in its order.
     left: remaining once a step bound a tuple of attributes, by that tuple:
     (attr,), and wander's I once its record is built.
     walk: WanderJoin's record, built on first use.
     """
 
-    __slots__ = ("attr", "edges", "near", "terms", "draws", "left", "walk")
+    __slots__ = ("attr", "edges", "near", "terms", "draws", "prefixes", "left", "walk")
 
     def __init__(self, plan, remaining):
         self.attr = a = plan.next_attr(remaining)
@@ -236,12 +240,21 @@ class _Step:
         self.terms = plan.agm_terms(remaining, a)
         bound = plan.sampled - remaining
         self.draws = tuple(bound_first_index(plan.db, e, bound, a) for e in self.edges)
+        self.prefixes = tuple(tuple(x for x in idx.order if x in bound)
+                              for idx in self.draws)
         self.left = {(a,): remaining - {a}}
         self.walk = None
 
     def projections(self, s):
-        """π_attr(R_F ⋉ s) per edge F of edges, as Views off draws; one op each."""
-        return [idx.project((self.attr,), s) for idx in self.draws]
+        """π_attr(R_F ⋉ s) per edge F of edges, as Views off draws; one op
+        each, as TrieIndex.project charges. The record resolved each
+        index's bound prefix once, where project checks it on every call."""
+        a = (self.attr,)
+        views = []
+        for idx, prefix in zip(self.draws, self.prefixes):
+            idx._charge()
+            views.append(View(idx, idx._walk([s[x] for x in prefix])[0], a))
+        return views
 
 
 def min_degree_order(query: Hypergraph):
@@ -340,11 +353,13 @@ class AlleyPlus:
     """Intersection sampling without replacement at branching fraction b.
 
     A step's candidate set Ω is the intersection of the projections of the
-    edges containing the next attribute a, scanned from the smallest. Ω
-    depends only on a and the values bound on the step record's near, so
-    it is kept in the plan's probe memo and shared by every b. Each step
-    charges one op per projection and max(1, |smallest|) for the scan, memo
-    hit or not, then keeps ceil(b·|Ω|) of Ω.
+    edges containing the next attribute a: the smallest projection's keys,
+    in order, that every other projection's degree column (_degree_column)
+    counts as non-zero. Ω depends only on a and the values bound on the
+    step record's near, so it is kept in the plan's probe memo and shared
+    by every b. Each step charges one op per projection and
+    max(1, |smallest|) for the scan, memo hit or not, then keeps
+    ceil(b·|Ω|) of Ω.
     """
 
     name = "alley"
@@ -372,12 +387,38 @@ class AlleyPlus:
 
 
 def _intersection(rec, s):
-    """(Ω as a tuple, the scan's op charge) for AlleyPlus.step."""
+    """(Ω as a tuple, the scan's op charge) for AlleyPlus.step: the smallest
+    view's keys, in order, whose count in every other view's degree column
+    is non-zero."""
     views = rec.projections(s)
     smallest = min(views, key=View.size)
-    rest = [v for v in views if v is not smallest]
-    omega = tuple(c for (c,) in smallest if all(v.count_of((c,)) for v in rest))
-    return omega, max(1, smallest.size())
+    n = smallest.size()
+    if n == 0:
+        return (), 1
+    keys = smallest.node.keys
+    rest = [_degree_column(v, keys) for v in views if v is not smallest]
+    omega = tuple(compress(keys, map(all, zip(*rest))) if rest else keys)
+    return omega, n
+
+
+def _degree_column(view, keys):
+    """The supporting-row count of each of `keys` in the non-empty
+    single-attribute `view` (0 where absent), in order. A view whose node
+    has exactly these keys (Ω's own, or a node of another trie over the
+    same values) reads its counts off the node; a view at most _DICT_FACTOR
+    times larger reads a dict of its items; a larger one takes one count_of
+    per key."""
+    node = view.node
+    if node.keys == keys:
+        cum = node.cum
+        return map(sub, cum[1:], cum)
+    if len(node.keys) <= _DICT_FACTOR * len(keys):
+        return map(dict(view.items()).get, keys, repeat(0))
+    return map(view.count_of, zip(keys))
+
+
+# _degree_column builds a dict over a view at most this many times Ω's size
+_DICT_FACTOR = 2
 
 
 class GJSample:
@@ -386,12 +427,16 @@ class GJSample:
     One step projects every edge containing the next attribute a onto a
     under the current binding s. The smallest projection is Ω. Each view
     gives deg1 (its row count) and, per candidate c, deg2 (c's supporting
-    rows: the smallest view's own count while walking it, one count_of
-    lookup on the others). The per-edge cover weight, log deg1 and whether
-    the edge keeps attributes after a are resolved once per table. The
-    whole table is summed in Ω order before the draw u picks the first
-    candidate whose running sum exceeds u. Probabilities are the same floats
-    agm_ratio computes (same edge order, same expressions).
+    rows). Each weighted edge's deg2 is read for all of Ω at once as a
+    degree column (_degree_column): Ω's own counts off its node, a dict
+    over a view not much larger than Ω, one count_of per candidate on a
+    larger one. A candidate's probability depends only on its tuple of
+    deg2, so it is computed once per distinct tuple, from the per-edge
+    cover weight, log deg1 and whether the edge keeps attributes after a,
+    resolved once per table. The whole table is summed in Ω order before
+    the draw u picks the first candidate whose running sum exceeds u.
+    Probabilities are the same floats agm_ratio computes (same edge order,
+    same expressions).
 
     A table reads only a and the values s binds on the record's near (None
     where unbound), so the plan's probe memo keeps it under those, built
@@ -438,31 +483,34 @@ def _gj_table(rec, s):
     lookups = [None if view is smallest else view.count_of for view in views]
     if n == 0:
         return (), (), (), lookups, cost
-    # per weighted edge, in agm_ratio's order: lookup, float(x), log deg1,
-    # and whether the edge keeps attributes after a
-    terms = [(lookups[i], x, math.log(views[i].rows()), keeps)
-             for i, _, x, keeps in rec.terms]
-    probs, cum = [], []
-    acc = 0.0
-    for c, own in smallest.items():
-        probe = (c,)
-        log = 0.0
-        for lookup, fx, log1, keeps in terms:
-            d2 = own if lookup is None else lookup(probe)
-            if d2 == 0:
-                p = 0.0
-                break
-            if keeps:
-                log += fx * (math.log(d2) - log1)
+    # per weighted edge, in agm_ratio's order: its place in a deg2 tuple,
+    # float(x), log deg1 and whether the edge keeps attributes after a; and
+    # its deg2 column, one count per candidate
+    terms = [(j, x, math.log(views[i].rows()), keeps)
+             for j, (i, _, x, keeps) in enumerate(rec.terms)]
+    keys = smallest.node.keys
+    columns = [_degree_column(views[i], keys) for i, *_ in rec.terms]
+    memo = {}
+    probs = []
+    for deg2s in zip(*columns) if columns else repeat((), n):
+        p = memo.get(deg2s)
+        if p is None:
+            log = 0.0
+            for j, fx, log1, keeps in terms:
+                d2 = deg2s[j]
+                if d2 == 0:
+                    p = 0.0
+                    break
+                if keeps:
+                    log += fx * (math.log(d2) - log1)
+                else:
+                    log -= fx * log1
             else:
-                log -= fx * log1
-        else:
-            p = math.exp(log)
-        acc += p
+                p = math.exp(log)
+            memo[deg2s] = p
         probs.append(p)
-        cum.append(acc)
-    # Ω's candidates are the smallest view's trie keys, in items() order
-    return smallest.node.keys, probs, cum, lookups, cost
+    # Ω's candidates are the smallest view's trie keys, in order
+    return keys, probs, list(accumulate(probs)), lookups, cost
 
 
 class DRS:

@@ -37,7 +37,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 
 
 class SchemaError(ValueError):
@@ -167,9 +167,12 @@ def _sorted_rows(rows, positions, arity, distinct=False) -> list:
 
 
 def _column_perm(attrs, order, arity) -> tuple:
-    """Position of each attribute of `order` among the column names `attrs`."""
+    """Position of each attribute of `order` among the column names `attrs`;
+    an index needs at least one column."""
     if len(attrs) != arity or sorted(order) != sorted(attrs):
         raise SchemaError(f"order {order} is not a permutation of columns {attrs}")
+    if not order:
+        raise SchemaError("an index needs at least one column")
     return tuple(attrs.index(a) for a in order)
 
 
@@ -327,7 +330,7 @@ class View:
         if node is None:
             return iter(())
         cum = node.cum
-        return zip(node.keys, map(int.__sub__, cum[1:], cum))
+        return zip(node.keys, map(sub, cum[1:], cum))
 
     def count_of(self, value_combo) -> int:
         """Supporting-row count of one I-value (0 when absent)."""

@@ -153,6 +153,19 @@ def test_build_index_standalone():
     assert idx.degree({"Y": y2}) == 1
 
 
+def test_an_index_over_no_column_is_a_schema_error():
+    # a projection keeping no column has the one row (); an index over it
+    # has no level to build, so asking for one is a SchemaError, not an
+    # IndexError from the trie builder
+    db = small_db()
+    key = db.projection("R", ("A", "B"), ())
+    assert db.relation(key).tuples == [()]
+    with pytest.raises(SchemaError, match="at least one column"):
+        db.index(key, ())
+    with pytest.raises(SchemaError, match="at least one column"):
+        TrieIndex(db.relation(key), ())
+
+
 def test_derived_relations_stay_out_of_db_relations():
     # every layer that indexes a self-join edge or projects one onto a bag
     # runs on one database; only the loaded relation is listed afterwards
