@@ -70,10 +70,7 @@ def _load_inputs(args):
         raise CliError(EXIT_LOAD, f"{args.query}: {exc}")
     except QueryError as exc:
         raise CliError(EXIT_LOAD, f"{args.query}: {exc}")
-    try:
-        validate(query.hypergraph, db)
-    except QueryError as exc:
-        raise CliError(EXIT_VALIDATE, str(exc))
+    validate(query.hypergraph, db)
     return db, query, hasher.hexdigest()
 
 
@@ -198,12 +195,7 @@ def _sample_attempts(db, query, args):
         attrs = tuple(sorted(hq.attributes))
         draw = lambda rng: uniform_sample(plan, strategy, rng)
     elif name == "exact":
-        try:
-            widx = WeightIndex(db, hq)
-        except QueryError as exc:
-            raise CliError(EXIT_VALIDATE, str(exc))
-        except WeightOverflowError as exc:
-            raise CliError(EXIT_RUNTIME, str(exc))
+        widx = WeightIndex(db, hq)
         attrs = tuple(sorted(hq.attributes))
 
         def draw(rng):
@@ -212,17 +204,9 @@ def _sample_attempts(db, query, args):
             except EmptySemijoinError:
                 return None
     elif name == "sust":
-        try:
-            cplan = ComponentPlan(db, hq)
-        except QueryError as exc:
-            raise CliError(EXIT_VALIDATE, str(exc))
+        cplan = ComponentPlan(db, hq)
         attrs = tuple(sorted(hq.attributes))
-
-        def draw(rng):
-            try:
-                return sust_sample(cplan, rng)
-            except QueryError as exc:
-                raise CliError(EXIT_VALIDATE, str(exc))
+        draw = lambda rng: sust_sample(cplan, rng)
     else:
         raise CliError(EXIT_VALIDATE, f"unknown sampling strategy {name}")
     return attrs, draw

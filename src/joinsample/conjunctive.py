@@ -19,7 +19,7 @@ from .estimators import (
     per_answer_probability, uniform_sample,
 )
 from .ghd import node_query
-from .queries import Hypergraph, QueryError, validate
+from .queries import Hypergraph, QueryError, connected_parts, validate
 from .wcoj import generic_join_exists
 
 
@@ -42,29 +42,16 @@ class ProjectionPlan:
 
         proj_edges = [(e.attrs, e.relation) for e in node_query(db, hq, oset).edges]
 
-        # connected components of the projected query
+        # the projected query's primal graph, split into connected parts
         adj = {a: set() for a in out}
         for attrs, _ in proj_edges:
             for a in attrs:
                 adj[a].update(attrs)
-        comps = []
-        left = set(out)
-        while left:
-            todo = [min(left)]
-            comp = set()
-            while todo:
-                a = todo.pop()
-                if a in comp:
-                    continue
-                comp.add(a)
-                todo.extend(adj[a] - comp)
-            left -= comp
-            comps.append(frozenset(comp))
 
         self.parts = []
         self.p0 = 1.0
         self.empty = False
-        for comp in sorted(comps, key=min):
+        for comp in connected_parts(out, adj):
             edges_c = [pe for pe in proj_edges if set(pe[0]) <= comp]
             sub = Hypergraph(sorted(comp), edges_c)
             plan = Plan(db, sub)

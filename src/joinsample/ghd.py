@@ -31,6 +31,7 @@ from .estimators import GJSample, Plan, generic_card_est, seeded_mean
 from .queries import (
     Hypergraph,
     QueryError,
+    connected_parts,
     fractional_edge_cover,
     residual_agm,
     validate,
@@ -87,21 +88,6 @@ class GHD:
         raise KeyError(attr)
 
 
-def _connected(nodes, adj) -> bool:
-    nodes = set(nodes)
-    if not nodes:
-        return True
-    stack = [next(iter(nodes))]
-    seen = set()
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(adj[x] & nodes)
-    return seen == nodes
-
-
 def check_ghd(query: Hypergraph, ghd: GHD) -> None:
     """Raise unless every edge fits in a bag and subtrees are connected."""
     for e in query.edges:
@@ -109,7 +95,7 @@ def check_ghd(query: Hypergraph, ghd: GHD) -> None:
             raise QueryError(f"edge {e.eid} {tuple(e.attrs)} fits in no bag")
     for a in query.attributes:
         holding = {i for i, b in enumerate(ghd.bags) if a in b}
-        if holding and not _connected(holding, ghd.adj):
+        if len(connected_parts(holding, ghd.adj)) > 1:
             raise QueryError(f"attribute {a} spans a disconnected set of bags")
     covered = set().union(*ghd.bags) if ghd.bags else set()
     if set(query.attributes) - covered:

@@ -91,6 +91,25 @@ class Hypergraph:
         return nb
 
 
+def connected_parts(nodes, neighbours) -> list:
+    """The connected parts of the graph on `nodes` whose edges join each
+    node to its `neighbours[node]`, ignoring neighbours outside `nodes`,
+    as frozensets in order of their least node."""
+    left = set(nodes)
+    parts = []
+    for start in sorted(left):
+        if start in left:
+            left.remove(start)
+            part, todo = [start], [start]
+            while todo:
+                near = left.intersection(neighbours.get(todo.pop(), ()))
+                left -= near
+                part += near
+                todo += near
+            parts.append(frozenset(part))
+    return parts
+
+
 def validate(query: Hypergraph, db) -> None:
     """Check every edge binds a known relation of matching arity."""
     for e in query.edges:
@@ -319,22 +338,10 @@ def _support_components(query: Hypergraph, cover: Cover):
         a, b = e.attrs
         adj.setdefault(a, []).append((b, e))
         adj.setdefault(b, []).append((a, e))
-    seen_attrs = set()
     comps = []
-    for start in sorted(adj):
-        if start in seen_attrs:
-            continue
-        stack, attrs, edges = [start], set(), set()
-        while stack:
-            v = stack.pop()
-            if v in attrs:
-                continue
-            attrs.add(v)
-            for w, e in adj[v]:
-                edges.add(e)
-                if w not in attrs:
-                    stack.append(w)
-        seen_attrs |= attrs
+    nbrs = {v: [w for w, _ in adj[v]] for v in adj}
+    for attrs in connected_parts(adj, nbrs):
+        edges = {e for e in support if e.attrs[0] in attrs}
         ws = {cover.weights[e.eid] for e in edges}
         if ws == {Fraction(1, 2)}:
             cyc = _as_odd_cycle(attrs, edges, adj)

@@ -11,16 +11,17 @@ and the Database keeps its answers, so a probe finds its index once per
 database and a trial step does only the walk.
 
 A Database owns the interner, the loaded relations, the deduplicated
-projections derived from them, and lazy caches keyed by what they are built
-from: one sorted row list per (source, column positions) and one trie per
-(source, column permutation), where a source is a loaded relation's name or
-a projection's (source, positions). An edge's TrieIndex relabels the shared
-trie with its own attribute names, so edges over one relation that read the
-same column order share one root. `bound_first` holds the bound-first index
-of each (relation, edge attributes, bound attributes, next attribute), which
-`queries.bound_first_index` reads and fills. It also meters query-model
-operations: every degree / exist / sample_row / view call bumps a counter,
-which benchmark reports read as the cost measure T. Index builds are treated as
+projections derived from them, one sorted row list per (source, column
+positions), where a source is a loaded relation's name or a projection's
+(source, positions), and two index caches. `bound_first` holds the
+bound-first index of each (relation, edge attributes, bound attributes,
+next attribute), which `queries.bound_first_index` reads and fills. Behind
+it is one trie per (source, column permutation); `Database.index` makes a
+relabelling of that trie, with the caller's attribute names, on each call
+that names its columns otherwise, so edges over one relation that read the
+same column order share one root. The Database also meters query-model
+operations: every degree / sample_row / view call bumps a counter, which
+benchmark reports read as the cost measure T. Index builds are treated as
 preprocessing and are not metered.
 
 Set-up does its per-row work in builtins, not in a Python loop per row or
@@ -233,13 +234,6 @@ class TrieIndex:
         self._charge()
         return self._walk([s[a] for a in self._prefix_attrs(s)])[1]
 
-    def exist(self, row) -> bool:
-        """row: mapping binding every schema attribute."""
-        self._charge()
-        if not set(self.order) <= set(row):
-            raise SchemaError("exist() needs a fully bound row")
-        return self._walk([row[a] for a in self.order])[1] > 0
-
     def sample_row(self, s, rng: random.Random):
         """Uniform row of R ⋉ s (multiplicity-weighted); tuple in index order."""
         return self._descend([s[a] for a in self._prefix_attrs(s)], rng)
@@ -276,8 +270,9 @@ class TrieIndex:
 
 class View:
     """Handle over π_I(R ⋉ s) for one index node, ranging over distinct
-    I-values. Single-attribute views are O(1)/O(log); wider ones walk the
-    subtrie (fine at the scales this package targets).
+    I-values. Iteration, sampling and `items` read single-attribute views;
+    `size` of a wider one walks the subtrie (fine at the scales this
+    package targets).
     """
 
     def __init__(self, index, node, attrs):
@@ -301,21 +296,18 @@ class View:
                 yield from self._walk(node.children[i], depth - 1, cur)
 
     def __iter__(self):
-        if self.node is None:
-            return
-        if len(self.attrs) == 1:
+        if len(self.attrs) != 1:
+            raise ValueError(f"iter() needs a single-attribute view, got {self.attrs}")
+        if self.node is not None:
             yield from ((k,) for k in self.node.keys)
-        else:
-            yield from (t for t, _ in self._walk(self.node, len(self.attrs)))
 
     def sample(self, rng: random.Random):
+        if len(self.attrs) != 1:
+            raise ValueError(f"sample() needs a single-attribute view, got {self.attrs}")
         self.index._charge()
-        if self.node is None or self.size() == 0:
+        if self.node is None or not self.node.keys:
             raise EmptySemijoinError("sample() on an empty view")
-        if len(self.attrs) == 1:
-            return (self.node.keys[rng.randrange(len(self.node.keys))],)
-        combos = list(self)
-        return combos[rng.randrange(len(combos))]
+        return (self.node.keys[rng.randrange(len(self.node.keys))],)
 
     def rows(self) -> int:
         """|R ⋉ s|: the rows under this view's node, with multiplicity."""
@@ -368,7 +360,6 @@ class Database:
         self._derived: dict[tuple, Relation] = {}  # projection key -> Relation
         self._rows: dict[tuple, list] = {}   # (source, positions) -> sorted rows
         self._tries: dict[tuple, TrieIndex] = {}  # (source, permutation) -> build
-        self._indexes: dict = {}  # (name, column names, order) -> TrieIndex
         self.bound_first: dict = {}  # see queries.bound_first_index
         self.ops = OpCounter()
 
@@ -412,23 +403,21 @@ class Database:
 
     def index(self, name, order, attrs=None) -> TrieIndex:
         """Index of a relation (name or derived key) along `order`, columns
-        named `attrs` (default, and same cache entry: the schema). The trie
-        is built once per (source rows, column permutation); other names
-        for it are relabellings."""
+        named `attrs` (default: the schema). The trie is built once per
+        (source rows, column permutation) and returned as built to a request
+        for its own relation and order; any other request gets a fresh
+        relabelling of it, so callers that look an index up often keep it
+        (as `bound_first` does)."""
         rel = self.relation(name)
         attrs = rel.schema if attrs is None else tuple(attrs)
         order = tuple(order)
-        key = (name, attrs, order)
-        idx = self._indexes.get(key)
-        if idx is None:
-            built = (self._source(name), _column_perm(attrs, order, rel.arity))
-            trie = self._tries.get(built)
-            if trie is None:
-                idx = self._tries[built] = TrieIndex(rel, order, self.ops, attrs)
-            else:
-                idx = trie.relabel(rel, order)
-            self._indexes[key] = idx
-        return idx
+        key = (self._source(name), _column_perm(attrs, order, rel.arity))
+        trie = self._tries.get(key)
+        if trie is None:
+            trie = self._tries[key] = TrieIndex(rel, order, self.ops, attrs)
+        if trie.relation is rel and trie.order == order:
+            return trie
+        return trie.relabel(rel, order)
 
     def decode_tuple(self, ids):
         return tuple(self.interner.decode(v) for v in ids)

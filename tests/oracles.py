@@ -55,6 +55,22 @@ def projection_answers(raw, edges, out_attrs):
     return {tuple(r[p] for p in pos) for r in rows}
 
 
+def reachability_classes(nodes, pairs):
+    """The classes of `nodes` under reachability along the undirected
+    `pairs` (either end may lie outside `nodes`; such pairs join nothing),
+    by Warshall's transitive closure: a set of frozensets."""
+    nodes = set(nodes)
+    reach = {(a, a) for a in nodes}
+    reach |= {(a, b) for a, b in pairs if a in nodes and b in nodes}
+    reach |= {(b, a) for a, b in reach}
+    for k in nodes:
+        for i in nodes:
+            for j in nodes:
+                if (i, k) in reach and (k, j) in reach:
+                    reach.add((i, j))
+    return {frozenset(b for b in nodes if (a, b) in reach) for a in nodes}
+
+
 def lp_rho_log(edge_attrs, sizes):
     """log(AGM) by floating-point LP; None when some covering size is 0."""
     if any(s == 0 for s in sizes):

@@ -446,3 +446,37 @@ def test_out_file_duplicates_stdout(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["join", dbdir, qpath, "-o", str(target)]) == 0
     assert target.read_text() == capsys.readouterr().out
+
+
+_TRIANGLE = {"attributes": ["A", "B", "C"],
+             "edges": [{"relation": "E", "vars": ["A", "B"]},
+                       {"relation": "E", "vars": ["B", "C"]},
+                       {"relation": "E", "vars": ["A", "C"]}]}
+_SYM_TRIANGLE = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3)]
+_PATH10 = {"attributes": [f"A{i}" for i in range(11)],
+           "edges": [{"relation": f"R{i}", "vars": [f"A{i}", f"A{i + 1}"]}
+                     for i in range(10)]}
+
+
+@pytest.mark.parametrize("raw, qdoc, argv, code, err", [
+    ({"E": (("X", "Y"), [(1, 2), (2, 3), (3, 1)])}, _TRIANGLE,
+     ["sample", "--strategy", "sust"], 4,
+     "error: relation 'E' is not symmetric; cycle canonicalization would bias "
+     "the estimate"),
+    # the repeated pair is found inside the draw loop, not when planning
+    ({"E": (("X", "Y"), _SYM_TRIANGLE + [(1, 2), (2, 1)])}, _TRIANGLE,
+     ["sample", "--strategy", "sust"], 4,
+     "error: relation 'E' has duplicate rows"),
+    ({f"R{i}": (("X", "Y"), [(0, 0)] * 100) for i in range(10)}, _PATH10,
+     ["sample", "--strategy", "exact"], 5,
+     "error: weight 100000000000000000000 exceeds the unsigned 64-bit range"),
+    ({"E": (("X", "Y"), _SYM_TRIANGLE)},
+     {"attributes": ["A", "B", "C"],
+      "edges": [{"relation": "E", "vars": ["A", "B", "C"]}]},
+     ["join"], 4, "error: edge 0: relation 'E' has arity 2, edge has 3"),
+], ids=["sust-asymmetric", "sust-duplicate-rows", "exact-overflow", "arity"])
+def test_library_errors_reach_the_exit_code_and_message(tmp_path, capsys, raw, qdoc,
+                                                        argv, code, err):
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main([argv[0], dbdir, qpath, *argv[1:]]) == code
+    assert capsys.readouterr().err == err + "\n"

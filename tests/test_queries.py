@@ -234,6 +234,37 @@ def test_integer_solver_equals_the_fraction_oracle(case):
         assert got == want and all(type(x) is Fraction for x in got)
 
 
+@st.composite
+def _graphs(draw):
+    """(nodes, pairs): undirected pairs over up to 10 string names, and the
+    names a caller asks about, which need not include every pair's ends."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 10)))]
+    name = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(name, name), max_size=15))
+    nodes = draw(st.lists(name, unique=True))
+    return nodes, pairs
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_graphs())
+def test_connected_parts_equal_the_reachability_oracle(case):
+    nodes, pairs = case
+    neighbours = {}   # nodes on no pair have no entry
+    for a, b in pairs:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    parts = queries.connected_parts(nodes, neighbours)
+    # a partition of nodes, in order of least node
+    assert sorted(x for p in parts for x in p) == sorted(nodes)
+    assert [min(p) for p in parts] == sorted(min(p) for p in parts)
+    assert len({min(p) for p in parts}) == len(parts)
+    # each part is connected and no pair inside nodes spans two parts
+    assert set(parts) == oracles.reachability_classes(nodes, pairs)
+    part_of = {x: p for p in parts for x in p}
+    assert all(part_of[a] is part_of[b] for a, b in pairs
+               if a in part_of and b in part_of)
+
+
 def test_half_integral_cover_requires_binary_edges():
     db, query, _ = build("ternary")
     with pytest.raises(QueryError):
@@ -250,8 +281,8 @@ def test_edge_index_shares_backing_storage():
     assert idx.relation is db.relation("G")
     assert idx.order == ("B", "C")
     assert set(db.relations) == {"G"}
-    # the schema spelled out and left out share one index
-    assert db.index("G", ("X", "Y")) is db.index("G", ("X", "Y"), ("X", "Y"))
+    # the schema spelled out and left out share one trie
+    assert db.index("G", ("X", "Y")).root is db.index("G", ("X", "Y"), ("X", "Y")).root
 
 
 def _count_edge_index_calls(monkeypatch):

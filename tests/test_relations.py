@@ -60,8 +60,8 @@ def test_exist_and_access():
     db = small_db()
     idx = db.index("R", ("A", "B"))
     a0, b2 = db.interner.intern(0), db.interner.intern(2)
-    assert idx.exist({"A": a0, "B": b2})
-    assert not idx.exist({"A": b2, "B": b2})
+    assert idx.degree({"A": a0, "B": b2}) > 0
+    assert idx.degree({"A": b2, "B": b2}) == 0
 
 
 def test_sample_row_weighted_by_multiplicity():
@@ -102,6 +102,19 @@ def test_view_rows_and_items():
     assert absent.rows() == 0 and list(absent.items()) == []
     with pytest.raises(ValueError):
         idx.project(("A", "B"), {}).items()
+
+
+def test_a_wide_view_refuses_iteration_and_sampling():
+    # only size() and count_of read a view over more than one attribute
+    db = small_db()
+    wide = db.index("R", ("A", "B")).project(("A", "B"), {})
+    assert wide.size() == 3
+    with pytest.raises(ValueError):
+        list(wide)
+    before = db.ops.n
+    with pytest.raises(ValueError):
+        wide.sample(random.Random(0))
+    assert db.ops.n == before
 
 
 def test_view_sample_empty_raises():
@@ -327,7 +340,6 @@ def test_shared_tries_answer_as_tries_built_alone(case, seed):
                 deg = shared.degree(s)
                 assert deg == alone.degree(s) and db.ops.n == before + 1
                 if k == len(order):
-                    assert shared.exist(s) == alone.exist(s) == (deg > 0)
                     continue
                 if deg:
                     ra, rb = random.Random(seed), random.Random(seed)
