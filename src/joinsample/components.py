@@ -23,19 +23,26 @@ sste_trial returns an unbiased estimate of the distinct answer count;
 sust_sample emits canonical class representatives, each with the same
 probability (needs duplicate-free relations), and sust_trial scores the
 same attempt by 1/P times the orbit size.
+
+ComponentPlan resolves once what the trials look up: each component's
+record (_Star, _Cycle) and the cross edges' probes hold indexes and degree
+probes (estimators._probe) only, never a degree or a value, so emptying
+the plan's probe memo and _inc leaves it cold. A drawn row's multiplicity
+is counted by the descent that drew it (TrieIndex._descend with a depth).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .estimators import Plan, seeded_mean
+from .estimators import Plan, _degree, _probe, seeded_mean
 from .queries import (
     Hypergraph, QueryError, bound_first_index, half_integral_cover, relation_sizes,
 )
+from .relations import View
 
 
 @dataclass
@@ -43,6 +50,45 @@ class Component:
     kind: str            # "cycle" or "star"
     attrs: list          # cycle: vertex sequence; star: [center, *leaves]
     edges: list          # cycle: edges[i] joins attrs[i], attrs[i+1 mod L]
+    rec: object = field(default=None, repr=False, compare=False)  # _Star or _Cycle
+
+
+class _Star:
+    """A star's resolved draws. roots: per edge, the index with nothing
+    bound, which draws a row of the whole relation; center: the center's
+    place in roots[0]'s order. spokes: per edge, its degree probe under the
+    center alone, whose index draws the spoke's row."""
+
+    __slots__ = ("roots", "center", "spokes")
+
+    def __init__(self, plan, comp):
+        center = comp.attrs[0]
+        self.roots = tuple(bound_first_index(plan.db, e, ()) for e in comp.edges)
+        self.center = self.roots[0].order.index(center)
+        self.spokes = tuple(_probe(plan, e, (center,)) for e in comp.edges)
+
+
+class _Cycle:
+    """An odd cycle's resolved draws (seq = attrs, L = len(seq)). roots: the
+    unbound index of each alternate edge edges[2j], j < (L-1)/2, which draws
+    its row. stitches: the probes of edges[2j-1], 0 < j < (L-1)/2, with both
+    ends bound. back: the back edge's index bound on seq[0], which w =
+    seq[L-1] follows. close: edges[-2]'s probe, both ends bound. heavy_root,
+    heavy: the back edge's unbound index and its probe with both ends bound
+    (SUST's heavy start)."""
+
+    __slots__ = ("roots", "stitches", "back", "close", "heavy_root", "heavy")
+
+    def __init__(self, plan, comp):
+        seq, edges, db = comp.attrs, comp.edges, plan.db
+        n = (len(seq) - 1) // 2
+        self.roots = tuple(bound_first_index(db, edges[2 * j], ()) for j in range(n))
+        self.stitches = tuple(_probe(plan, edges[2 * j - 1], edges[2 * j - 1].attrs)
+                              for j in range(1, n))
+        self.back = bound_first_index(db, edges[-1], (seq[0],))
+        self.close = _probe(plan, edges[-2], edges[-2].attrs)
+        self.heavy_root = bound_first_index(db, edges[-1], ())
+        self.heavy = _probe(plan, edges[-1], edges[-1].attrs)
 
 
 class ComponentPlan:
@@ -67,6 +113,7 @@ class ComponentPlan:
         by_id = {e.eid: e for e in query.edges}
         self.components = []
         self._first_column = {}   # cycle relation -> index incidence walks
+        self._cross = tuple(_probe(self.plan, e, e.attrs) for e in self.cross_edges)
         for kind, attrs, eids in comps:
             edges = [by_id[i] for i in eids]
             if kind == "cycle":
@@ -82,14 +129,18 @@ class ComponentPlan:
                         f"relation {rel.name!r} is not symmetric; cycle "
                         "canonicalization would bias the estimate"
                     )
-                self.components.append(Component("cycle", list(attrs), edges))
+                comp = Component("cycle", list(attrs), edges)
+                comp.rec = _Cycle(self.plan, comp)
+                self.components.append(comp)
                 self._first_column[rel.name] = bound_first_index(
                     db, edges[0], edges[0].attrs[:1])
             else:
                 center, leaves = attrs, []
                 for e in edges:
                     leaves.extend(a for a in e.attrs if a != center)
-                self.components.append(Component("star", [center] + leaves, edges))
+                comp = Component("star", [center] + leaves, edges)
+                comp.rec = _Star(self.plan, comp)
+                self.components.append(comp)
         self._inc = {}
 
     def incidence(self, relname, value) -> int:
@@ -150,21 +201,22 @@ def _dihedral_images(vals):
 
 def _canonical_weight(cplan, relname, vals):
     """(is canonical, orbit size) for the value sequence of a cycle: is its
-    kappa sequence the least among its images?"""
-    def kseq(seq):
-        return tuple(cplan.kappa(relname, v) for v in seq)
+    kappa sequence the least among its images? Each value's kappa is read
+    once; the meter is charged for all (2L+1)·L reads, the sequence's and
+    each image's, as a lookup per image value would. kappa is one-to-one,
+    so the images of the kappa sequence are those of the values."""
+    kseq = [cplan.kappa(relname, v) for v in vals]
+    cplan.db.ops.n += 2 * len(kseq) * len(kseq)
+    images = _dihedral_images(kseq)
+    return images[0] == min(images), len(set(images))
 
-    images = _dihedral_images(vals)
-    return kseq(tuple(vals)) == min(map(kseq, images)), len(set(images))
 
-
-def _row_for(cplan, edge, rng):
-    """Uniform row of the edge's relation; (assignment fragment, multiplicity)."""
-    idx = bound_first_index(cplan.db, edge, {})
-    row = idx.sample_row({}, rng)
-    frag = dict(zip(idx.order, row))
-    mult = cplan.plan.edge_degree(edge, frag)
-    return frag, mult
+def _draw_row(idx, rng):
+    """A uniform row of idx's relation as an assignment, and the row's
+    multiplicity, which the descent counts: two ops, the draw's and the
+    multiplicity probe's."""
+    row, mult = idx._descend([], rng, len(idx.order))
+    return dict(zip(idx.order, row)), mult
 
 
 def _cycle_start(cplan, comp, rng, canonical):
@@ -175,22 +227,21 @@ def _cycle_start(cplan, comp, rng, canonical):
     least of the drawn vertices, then check the stitching edges
     edges[2j-1]. Returns (assignment of seq[:L-1], 1/P of the rows) or None.
     """
-    seq, edges = comp.attrs, comp.edges
-    relname = edges[0].relation
+    seq, rec = comp.attrs, comp.rec
+    relname = comp.edges[0].relation
     nrel = len(cplan.db.relation(relname))
-    n = (len(seq) - 1) // 2
     a = {}
     inv_p = 1.0
-    for j in range(n):
-        frag, mult = _row_for(cplan, edges[2 * j], rng)
+    for idx in rec.roots:
+        frag, mult = _draw_row(idx, rng)
         a.update(frag)
         inv_p *= nrel / mult
     if canonical:
         k0 = cplan.kappa(relname, a[seq[0]])
-        if any(cplan.kappa(relname, a[v]) < k0 for v in seq[1: 2 * n]):
+        if any(cplan.kappa(relname, a[v]) < k0 for v in seq[1: 2 * len(rec.roots)]):
             return None
-    for j in range(1, n):
-        if cplan.plan.edge_degree(edges[2 * j - 1], a) == 0:
+    for probe in rec.stitches:
+        if _degree(cplan.plan, probe, a) == 0:
             return None
     return a, inv_p
 
@@ -198,11 +249,10 @@ def _cycle_start(cplan, comp, rng, canonical):
 def _back_view(cplan, comp, a):
     """(view, size) of the last vertex's candidates: pi_w of the back edge
     (joining w = seq[L-1] to seq[0]) under a's start vertex; charges
-    max(1, size) ops."""
-    start = comp.attrs[0]
-    bound = {start: a[start]}
-    idx = bound_first_index(cplan.db, comp.edges[-1], bound)
-    view = idx.project((comp.attrs[-1],), bound)
+    max(1, size) ops besides the projection's one."""
+    idx = comp.rec.back
+    idx._charge()
+    view = View(idx, idx._walk((a[comp.attrs[0]],))[0], (comp.attrs[-1],))
     no = view.size()
     cplan.db.ops.add(max(1, no))
     return view, no
@@ -232,7 +282,7 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
     kept = []
     for _ in range(k):
         (a[seq[-1]],) = view.sample(rng)
-        if cplan.plan.edge_degree(comp.edges[-2], a) == 0:   # joins seq[L-2], w
+        if _degree(cplan.plan, comp.rec.close, a) == 0:   # joins seq[L-2], w
             continue
         orbit = 1.0
         if canonical:
@@ -246,26 +296,21 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
 
 def _star_trial_sste(cplan, comp, rng):
     """Center by a degree-weighted row draw, then one joint spoke per edge."""
-    center = comp.attrs[0]
-    edges = comp.edges
-    e1 = edges[0]
-    frag, _ = _row_for(cplan, e1, rng)
-    a = frag[center]
-    nrel = len(cplan.db.relation(e1.relation))
-    deg1 = cplan.plan.edge_degree(e1, {center: a})
-    inv_p = nrel / deg1
-    full = {center: a}
-    for e in edges:
-        bound = {center: a}
-        deg = cplan.plan.edge_degree(e, bound)
+    rec = comp.rec
+    root = rec.roots[0]
+    row, _ = root._descend([], rng, len(root.order))   # the count is charged, not read
+    a = row[rec.center]
+    bound = {comp.attrs[0]: a}
+    inv_p = len(root.relation) / _degree(cplan.plan, rec.spokes[0], bound)
+    full = dict(bound)
+    for probe in rec.spokes:
+        deg = _degree(cplan.plan, probe, bound)
         if deg == 0:
             return 0.0, []
-        idx = bound_first_index(cplan.db, e, bound)
-        row = idx.sample_row(bound, rng)
-        got = dict(zip(idx.order, row))
-        mult = cplan.plan.edge_degree(e, got)
+        idx = probe[2]
+        row, mult = idx._descend([a], rng, len(idx.order))
         inv_p *= deg / mult
-        full.update(got)
+        full.update(zip(idx.order, row))
     return inv_p, [full]
 
 
@@ -287,9 +332,8 @@ def sste_trial(cplan: ComponentPlan, rng) -> float:
         if cplan.fallback:
             assignment.update(kept[0])
     if cplan.fallback:
-        for e in cplan.cross_edges:
-            bound = {x: assignment[x] for x in e.attrs}
-            if cplan.plan.edge_degree(e, bound) == 0:
+        for probe in cplan._cross:
+            if _degree(cplan.plan, probe, assignment) == 0:
                 return 0.0
     return z
 
@@ -314,8 +358,8 @@ def _cycle_trial_sust(cplan, comp, rng):
     if start is None:
         return None
     a, _ = start
-    seq, edges = comp.attrs, comp.edges
-    relname = edges[0].relation
+    seq, rec = comp.attrs, comp.rec
+    relname = comp.edges[0].relation
     nrel = len(cplan.db.relation(relname))
     w = seq[-1]
     thresh = 2.0 * math.sqrt(nrel)
@@ -328,14 +372,14 @@ def _cycle_trial_sust(cplan, comp, rng):
     else:
         # heavy start: random row, random endpoint, thin to flatten P(c); the
         # relation is symmetric, so the back edge's column order is immaterial
-        row = bound_first_index(cplan.db, edges[-1], {}).sample_row({}, rng)
+        row, _ = rec.heavy_root._descend([], rng)
         c = a[w] = row[rng.randrange(2)]
         inc_c = cplan.incidence(relname, c)
         if inc_c < inc0 or rng.random() >= math.sqrt(nrel) / inc_c:
             return None
-        if cplan.plan.edge_degree(edges[-1], a) == 0:
+        if _degree(cplan.plan, rec.heavy, a) == 0:
             return None
-    if cplan.plan.edge_degree(edges[-2], a) == 0:
+    if _degree(cplan.plan, rec.close, a) == 0:
         return None
     return a if _canonical_weight(cplan, relname, [a[v] for v in seq])[0] else None
 
@@ -345,8 +389,8 @@ def _star_trial_sust(cplan, comp, rng):
     center = comp.attrs[0]
     full = {}
     got_center = None
-    for e in comp.edges:
-        frag, _ = _row_for(cplan, e, rng)
+    for idx in comp.rec.roots:
+        frag, _ = _draw_row(idx, rng)
         if got_center is None:
             got_center = frag[center]
         elif frag[center] != got_center:

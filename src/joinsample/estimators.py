@@ -21,7 +21,10 @@ Strategies:
   DRS         - picks an edge uniformly, samples a row from it, and keeps the
                 value only if that edge maximizes the value's relative degree,
                 thinned so the kept probability is the AGM-bound ratio. No
-                per-candidate table is ever materialized.
+                per-candidate table is ever materialized. The step record
+                holds each edge's draw index, its bound prefix and its degree
+                probes before and after the attribute; the drawn edge's
+                degree after it is counted by the descent that drew the row.
 
 A step's structure depends only on the query and the attributes still
 unbound: the next attribute and its edges, the AGM terms, wander's edge and
@@ -138,8 +141,9 @@ class Plan:
         Keyed by the edge's column values, None where unbound (values are
         interned ints); a miss walks the edge's bound-first index for s. The
         op meter is charged whether or not the cache hits: the cache is a
-        shortcut of this implementation, not of the cost model. WanderJoin's
-        resolved probes (_degree) read and fill the same entries.
+        shortcut of this implementation, not of the cost model. The probes
+        that step and component records resolve (_degree) read and fill the
+        same entries.
         """
         key = (edge.eid, *map(s.get, edge.attrs))
         self.db.ops.n += 1
@@ -181,7 +185,9 @@ class Plan:
         Edges whose remaining-attribute set is exactly {attr} leave the
         denominator only, contributing 1/deg1^x.
         """
-        return _ratio(self.agm_terms(remaining, attr), deg1, deg2)
+        terms = self.agm_terms(remaining, attr)
+        return _ratio(terms, *({i: deg[eid] for i, eid, _, _ in terms}
+                               for deg in (deg1, deg2)))
 
     def agm_terms(self, remaining, attr):
         """agm_ratio's (position in e_I[attr], eid, float weight, keeps) per
@@ -197,16 +203,17 @@ class Plan:
 
 
 def _ratio(terms, deg1, deg2) -> float:
-    """agm_ratio over resolved terms; deg1 and deg2 map eid -> degree."""
+    """agm_ratio over resolved terms; deg1 and deg2 hold the degrees of the
+    edges containing the attribute by position in e_I order."""
     log = 0.0
-    for _, eid, x, keeps in terms:
-        d2 = deg2[eid]
+    for i, _, x, keeps in terms:
+        d2 = deg2[i]
         if d2 == 0:
             return 0.0
         if keeps:
-            log += x * (math.log(d2) - math.log(deg1[eid]))
+            log += x * (math.log(d2) - math.log(deg1[i]))
         else:
-            log -= x * math.log(deg1[eid])
+            log -= x * math.log(deg1[i])
     return math.exp(log)
 
 
@@ -226,12 +233,15 @@ class _Step:
     attributes outside remaining first, then attr: DRS draws its row from
     it, and GJ and alley project attr off it (projections).
     prefixes: per index of draws, the attributes s binds, in its order.
+    before, after: per edge, its degree probe (see _Walk) under s and once
+    attr is bound, off its index of draws: attr directly follows the prefix.
     left: remaining once a step bound a tuple of attributes, by that tuple:
     (attr,), and wander's I once its record is built.
     walk: WanderJoin's record, built on first use.
     """
 
-    __slots__ = ("attr", "edges", "near", "terms", "draws", "prefixes", "left", "walk")
+    __slots__ = ("attr", "edges", "near", "terms", "draws", "prefixes", "before",
+                 "after", "left", "walk")
 
     def __init__(self, plan, remaining):
         self.attr = a = plan.next_attr(remaining)
@@ -242,6 +252,10 @@ class _Step:
         self.draws = tuple(bound_first_index(plan.db, e, bound, a) for e in self.edges)
         self.prefixes = tuple(tuple(x for x in idx.order if x in bound)
                               for idx in self.draws)
+        self.before = tuple((e.eid, e.attrs, idx, prefix) for e, idx, prefix
+                            in zip(self.edges, self.draws, self.prefixes))
+        self.after = tuple((eid, attrs, idx, prefix + (a,))
+                           for eid, attrs, idx, prefix in self.before)
         self.left = {(a,): remaining - {a}}
         self.walk = None
 
@@ -296,10 +310,12 @@ class WanderJoin:
         base = _degree(plan, w.base, s)
         if base == 0:
             return StepOutcome(w.I, [])
-        row = w.index._descend([s[a] for a in w.prefix], rng)
+        row, own = w.index._descend([s[a] for a in w.prefix], rng, w.depth)
         frag = {a: row[i] for a, i in w.take}
         s2 = {**s, **frag}
-        p = _degree(plan, w.own, s2) / base
+        if w.own is not None:
+            own = _degree(plan, w.own, s2)
+        p = own / base
         member = all(_degree(plan, probe, s2) > 0 for probe in w.touching)
         return StepOutcome(w.I, [(frag, p, member)])
 
@@ -312,11 +328,16 @@ class _Walk:
     attrs, bound-first index, bound prefix of the index order).
     index, prefix: base's index, which the row is drawn from, and prefix.
     take: (attribute, position in the drawn row) for each of I.
-    own: the edge's probe once I is bound; touching: the probes of the
-    other edges meeting I, in eid order, once I is bound.
+    depth: where I ends in index's order when I directly follows prefix
+    there (always, unless one of the edge's skipped attributes sorts before
+    one of I): the descent that draws the row then counts the edge's degree
+    once I is bound, and own is None. Else depth is None and own is that
+    degree's probe.
+    touching: the probes of the other edges meeting I, in eid order, once I
+    is bound.
     """
 
-    __slots__ = ("I", "base", "index", "prefix", "take", "own", "touching")
+    __slots__ = ("I", "base", "index", "prefix", "take", "depth", "own", "touching")
 
     def __init__(self, plan, remaining):
         edge = next(e for e in plan.query.edges if e.attr_set & remaining)
@@ -326,7 +347,10 @@ class _Walk:
         _, _, self.index, self.prefix = self.base
         self.take = tuple((a, i) for i, a in enumerate(self.index.order) if a in self.I)
         bound = bound | set(self.I)
-        self.own = _probe(plan, edge, bound)
+        end = len(self.prefix) + len(self.I)
+        follows = self.index.order[len(self.prefix):end] == self.I
+        self.depth = end if follows else None
+        self.own = None if follows else _probe(plan, edge, bound)
         others = [e for e in plan.query.edges_touching(self.I) if e.eid != edge.eid]
         self.touching = tuple(_probe(plan, e, bound) for e in others)
 
@@ -527,6 +551,9 @@ class DRS:
     boost="any-edge" accepts regardless of the argmax, with the correspondingly
     larger kept probability. Both only ever raise P, so 1/P contributions
     shrink.
+
+    deg1 and deg2 are read through the record's probes, by position in its
+    edges, except F*'s deg2: the descent that draws the row counts it.
     """
 
     name = "drs"
@@ -539,33 +566,33 @@ class DRS:
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         rec = plan.step_record(remaining)
-        a, edges = rec.attr, rec.edges
-        ne = len(edges)
+        a = rec.attr
+        ne = len(rec.edges)
         i = rng.randrange(ne)
-        deg1 = {e.eid: plan.edge_degree(e, s) for e in edges}
-        idx = rec.draws[i]
-        c = idx.sample_row(s, rng)[idx.order.index(a)]
+        deg1 = [_degree(plan, probe, s) for probe in rec.before]
+        idx, prefix = rec.draws[i], rec.prefixes[i]
+        at = len(prefix)    # attr's place in the drawn row
+        row, own = idx._descend([s[x] for x in prefix], rng, at + 1)
+        c = row[at]
         s2 = {**s, a: c}
-        deg2 = {e.eid: plan.edge_degree(e, s2) for e in edges}
+        deg2 = [own if j == i else _degree(plan, probe, s2)
+                for j, probe in enumerate(rec.after)]
         # argmax of deg2/deg1 by exact cross-multiplication
-        tied = []
-        for e in edges:
-            if not tied:
-                tied = [e]
-                continue
+        tied = [0]
+        for j in range(1, ne):
             lead = tied[0]
-            left = deg2[e.eid] * deg1[lead.eid]
-            right = deg2[lead.eid] * deg1[e.eid]
+            left = deg2[j] * deg1[lead]
+            right = deg2[lead] * deg1[j]
             if left > right:
-                tied = [e]
+                tied = [j]
             elif left == right:
-                tied.append(e)
-        is_max = edges[i] in tied
+                tied.append(j)
+        is_max = i in tied
         if self.boost != "any-edge" and not is_max:
             return StepOutcome((a,), [])
         ratio = _ratio(rec.terms, deg1, deg2)
         lead = tied[0]
-        rdeg_max = deg2[lead.eid] / deg1[lead.eid]
+        rdeg_max = deg2[lead] / deg1[lead]
         keep = 0.0 if rdeg_max == 0 else ratio / rdeg_max
         if keep > 1 + 1e-9:
             raise RuntimeError(
@@ -577,13 +604,13 @@ class DRS:
         elif self.boost == "tie":
             accept_p, p = keep, m * ratio / ne
         else:  # any-edge
-            rdeg_sum = sum(deg2[e.eid] / deg1[e.eid] for e in edges)
+            rdeg_sum = sum(d2 / d1 for d1, d2 in zip(deg1, deg2))
             accept_p, p = keep, rdeg_sum * keep / ne
         if rng.random() >= accept_p:
             return StepOutcome((a,), [])
         if p <= 0.0:
             return StepOutcome((a,), [])
-        member = all(d > 0 for d in deg2.values())
+        member = all(d > 0 for d in deg2)
         return StepOutcome((a,), [({a: c}, p, member)])
 
 

@@ -29,7 +29,8 @@ value: a data line is read by `map(int, ...)`, a load checks arity and
 collects values with `set`/`map`/`chain` and encodes rows with
 `map(<id lookup>, row)`, and projections and trie reorders read columns with
 `operator.itemgetter` before one `sorted`. Only `_build_levels` walks the
-sorted rows in Python, once per trie node.
+sorted rows in Python: its inner loop compares every row's value at every
+depth, so a build reads each row once per level of the trie.
 """
 
 from __future__ import annotations
@@ -236,23 +237,37 @@ class TrieIndex:
 
     def sample_row(self, s, rng: random.Random):
         """Uniform row of R ⋉ s (multiplicity-weighted); tuple in index order."""
-        return self._descend([s[a] for a in self._prefix_attrs(s)], rng)
+        return self._descend([s[a] for a in self._prefix_attrs(s)], rng)[0]
 
-    def _descend(self, out, rng: random.Random):
-        """sample_row once its binding is checked: a uniform row under the
-        bound prefix values `out`, a list it extends in place. The one row
-        descent; callers that resolved the prefix themselves call it directly."""
+    def _descend(self, out, rng: random.Random, depth=None):
+        """sample_row once its binding is checked: (a uniform row under the
+        bound prefix values `out`, a list it extends in place; a count). The
+        one row descent; callers that resolved the prefix themselves call it
+        directly.
+
+        The count is |R ⋉ out| when depth is None. Given a depth at least
+        len(out), it is the rows under the drawn row's first `depth` values,
+        which the descent passes on its way down, so it stands for a degree
+        probe of that prefix and charges the probe's op too: two in all."""
         self._charge()
-        node, total = self._walk(out)
-        if total == 0:
+        node, count = self._walk(out)
+        if count == 0:
             raise EmptySemijoinError(
                 f"empty semijoin under {dict(zip(self.order, out))}")
+        if depth is not None:
+            self._charge()
+            for _ in range(depth - len(out)):
+                cum = node.cum
+                i = bisect.bisect_right(cum, rng.randrange(cum[-1])) - 1
+                out.append(node.keys[i])
+                count = cum[i + 1] - cum[i]
+                node = node.children[i]
         while node is not None:
             x = rng.randrange(node.cum[-1])
             i = bisect.bisect_right(node.cum, x) - 1
             out.append(node.keys[i])
             node = node.children[i]
-        return tuple(out)
+        return tuple(out), count
 
     def project(self, attrs, s):
         """View of π_attrs(R ⋉ s); attrs must directly follow the bound prefix."""

@@ -63,14 +63,14 @@ def test_drs_draws_rows_that_agree_with_the_drawn_edges_bound_column(monkeypatch
     db, plan = _pair_plan()
     s = {"B": db.interner.intern(1), "C": db.interner.intern(2)}
     drawn = []
-    real = TrieIndex.sample_row
+    real = TrieIndex._descend
 
-    def spy(idx, binding, rng):
-        row = real(idx, binding, rng)
-        drawn.append(dict(zip(idx.order, row)))
-        return row
+    def spy(idx, out, rng, depth=None):
+        got = real(idx, out, rng, depth)
+        drawn.append(dict(zip(idx.order, got[0])))
+        return got
 
-    monkeypatch.setattr(TrieIndex, "sample_row", spy)
+    monkeypatch.setattr(TrieIndex, "_descend", spy)
     for i in range(40):
         DRS().step(plan, frozenset({"A"}), s, derive_rng("bound", "drs", i))
     values = {"B": set(), "C": set()}
