@@ -530,8 +530,6 @@ def _gj_table(rec, s):
     keys = smallest.node.keys
     columns = [_degree_column(views[i], keys) for i, *_ in rec.terms]
     if len(terms) == 1:
-        # one weighted edge: its deg2 is an int; map one probability per
-        # distinct deg2 over its column in builtins
         probs = list(map(_Deg2Probs(*terms[0][1:]).__getitem__, columns[0]))
         return keys, probs, list(accumulate(probs)), lookups, cost
     memo = {}
