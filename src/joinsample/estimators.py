@@ -18,11 +18,9 @@ Strategies:
                 one probability per distinct deg2 (a tuple over several
                 weighted edges), is kept in the plan's probe memo, then
                 drawn from; ops are charged per candidate per edge on every
-                step, memo hit or not. Over one weighted edge the deg2 is
-                an int, and its probabilities are mapped over the column in
-                builtins; over several, a Python loop keys them by tuple,
-                since hashing each uncached tuple twice (a set pass and a
-                lookup pass) made a builtin path slower there.
+                step, memo hit or not. A dict that computes each missing
+                deg2's probability is mapped over the deg2 in builtins: one
+                weighted edge's int column itself, or the zip of several.
   DRS         - picks an edge uniformly, samples a row from it, and keeps the
                 value only if that edge maximizes the value's relative degree,
                 thinned so the kept probability is the AGM-bound ratio. No
@@ -462,15 +460,14 @@ class GJSample:
     larger one. A candidate's probability depends only on its tuple of
     deg2, so it is computed once per distinct tuple, from the per-edge
     cover weight, log deg1 and whether the edge keeps attributes after a,
-    resolved once per table. When a lies in one weighted edge, the tuple is
-    a single int: a dict that computes each missing deg2's probability is
-    mapped over that edge's column in builtins, with no Python loop per
-    candidate. Over several weighted edges a loop keys the memo by tuple; a
-    builtin set pass and lookup pass would hash every uncached tuple twice,
-    which measured 0.92x to 0.95x the loop's speed on tri-dense's ½-½-½
-    cover. The whole table is summed in Ω order before the draw u picks the
-    first candidate whose running sum exceeds u. Probabilities are the same
-    floats agm_ratio computes (same edge order, same expressions).
+    resolved once per table. A dict that computes each missing deg2's
+    probability is mapped over the deg2 in builtins, with no Python loop
+    per candidate: when a lies in one weighted edge its int column keys the
+    dict directly, so no tuple is built or hashed; over several, the zip of
+    the columns does. The whole table is summed in Ω order before the draw
+    u picks the first candidate whose running sum exceeds u. Probabilities
+    are the same floats agm_ratio computes (same edge order, same
+    expressions).
 
     A table reads only a and the values s binds on the record's near (None
     where unbound), so the plan's probe memo keeps it under those, built
@@ -510,10 +507,9 @@ def _gj_table(rec, s):
     probabilities, running sums, deg2 lookup per edge with None for Ω's own
     view, the step's op charge beyond the projections).
 
-    Over one weighted edge, _Deg2Probs maps a probability per int deg2 over
-    the edge's column in builtins. Over several, the loop keys its memo by
-    the tuple of deg2: building those keys in builtins hashes each tuple
-    twice (its hash is not cached), which is slower than the loop."""
+    The memo, a _Deg2Probs, is mapped over the deg2 in builtins: over one
+    weighted edge the column itself, whose ints key the memo, and over
+    several the zip of the columns, each tuple hashed once."""
     views = rec.projections(s)
     smallest = min(views, key=View.size)
     n = smallest.size()
@@ -522,57 +518,46 @@ def _gj_table(rec, s):
     lookups = [None if view is smallest else view.count_of for view in views]
     if n == 0:
         return (), (), (), lookups, cost
-    # per weighted edge, in agm_ratio's order: its place in a deg2 tuple,
-    # float(x), log deg1 and whether the edge keeps attributes after a; and
-    # its deg2 column, one count per candidate
-    terms = [(j, x, math.log(views[i].rows()), keeps)
-             for j, (i, _, x, keeps) in enumerate(rec.terms)]
+    # per weighted edge, in agm_ratio's order: float(x), log deg1 and
+    # whether the edge keeps attributes after a; and its deg2 column, one
+    # count per candidate
+    memo = _Deg2Probs((x, math.log(views[i].rows()), keeps)
+                      for i, _, x, keeps in rec.terms)
     keys = smallest.node.keys
     columns = [_degree_column(views[i], keys) for i, *_ in rec.terms]
-    if len(terms) == 1:
-        probs = list(map(_Deg2Probs(*terms[0][1:]).__getitem__, columns[0]))
-        return keys, probs, list(accumulate(probs)), lookups, cost
-    memo = {}
-    probs = []
-    for deg2s in zip(*columns) if columns else repeat((), n):
-        p = memo.get(deg2s)
-        if p is None:
-            log = 0.0
-            for j, fx, log1, keeps in terms:
-                d2 = deg2s[j]
-                if d2 == 0:
-                    p = 0.0
-                    break
-                if keeps:
-                    log += fx * (math.log(d2) - log1)
-                else:
-                    log -= fx * log1
-            else:
-                p = math.exp(log)
-            memo[deg2s] = p
-        probs.append(p)
+    # one weighted edge keys the memo by its int deg2, several by the tuple
+    deg2s = (columns[0] if len(columns) == 1
+             else zip(*columns) if columns else repeat((), n))
+    probs = list(map(memo.__getitem__, deg2s))
     # Ω's candidates are the smallest view's trie keys, in order
     return keys, probs, list(accumulate(probs)), lookups, cost
 
 
 class _Deg2Probs(dict):
-    """One weighted edge's candidate probability per int deg2, computed on
-    the first lookup of each deg2 by the loop's expressions in _gj_table
-    (float(x), log deg1, whether the edge keeps attributes after a)."""
+    """A candidate's probability per deg2 (an int over one weighted edge, a
+    tuple over several), computed on the first lookup of each by
+    agm_ratio's expressions from the terms (float(x), log deg1, whether the
+    edge keeps attributes after a)."""
 
-    __slots__ = ("fx", "log1", "keeps")
+    __slots__ = ("terms",)
 
-    def __init__(self, fx, log1, keeps):
-        self.fx, self.log1, self.keeps = fx, log1, keeps
+    def __init__(self, terms):
+        self.terms = tuple(terms)
 
-    def __missing__(self, d2):
-        if d2 == 0:
-            p = 0.0
-        elif self.keeps:
-            p = math.exp(0.0 + self.fx * (math.log(d2) - self.log1))
+    def __missing__(self, deg2s):
+        log = 0.0
+        for d2, (fx, log1, keeps) in zip(
+                deg2s if type(deg2s) is tuple else (deg2s,), self.terms):
+            if d2 == 0:
+                p = 0.0
+                break
+            if keeps:
+                log += fx * (math.log(d2) - log1)
+            else:
+                log -= fx * log1
         else:
-            p = math.exp(0.0 - self.fx * self.log1)
-        self[d2] = p
+            p = math.exp(log)
+        self[deg2s] = p
         return p
 
 

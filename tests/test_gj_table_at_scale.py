@@ -80,9 +80,8 @@ def _plan(name, zero_weight=False):
 def _columns(plan, remaining, s, seen):
     """Note in `seen` what the table on this step reads: each weighted
     edge's column kind, whether a deg2 is 0, whether an edge of the step
-    weighs 0, and Ω's size and distinct deg2 tuples at the root. A table
-    over one weighted edge is also noted under seen["one edge"], with
-    whether that edge keeps no attribute after the step."""
+    weighs 0, whether its one weighted edge keeps no attribute after the
+    step, and Ω's size and distinct deg2 tuples at the root."""
     rec = plan.step_record(remaining)
     views = rec.projections(s)
     smallest = min(views, key=View.size)
@@ -92,25 +91,20 @@ def _columns(plan, remaining, s, seen):
     keys = smallest.node.keys
     weighted = {i for i, *_ in rec.terms}
     seen["zero weight"] |= len(weighted) < len(views)
-    tuples, kinds = [], set()
+    seen["keeps none"] |= len(weighted) == 1 and not rec.terms[0][3]
+    tuples = []
     for i in sorted(weighted):
         view = views[i]
         if view.node.keys == keys:
-            kinds.add("own counts")
+            seen["kinds"].add("own counts")
         elif view.size() <= _DICT_FACTOR * n:
-            kinds.add("dict")
+            seen["kinds"].add("dict")
         else:
-            kinds.add("count_of")
+            seen["kinds"].add("count_of")
         tuples.append([view.count_of((c,)) for c in keys])
-    zero = any(0 in col for col in tuples)
-    root = (n, len(set(zip(*tuples))))
-    for where in (seen, seen["one edge"]) if len(weighted) == 1 else (seen,):
-        where["kinds"] |= kinds
-        where["zero deg2"] |= zero
-        if not s:
-            where["root"].append(root)
-    if len(weighted) == 1:
-        seen["one edge"]["keeps none"] |= not rec.terms[0][3]
+    seen["zero deg2"] |= any(0 in col for col in tuples)
+    if not s:
+        seen["root"].append((n, len(set(zip(*tuples)))))
 
 
 def _walk(plan, seed, seen):
@@ -138,9 +132,8 @@ def _walk(plan, seed, seen):
 
 @pytest.mark.parametrize("name", ["triangle", "4-cycle", "path"])
 def test_table_at_scale_matches_per_candidate_table(name):
-    seen = {"kinds": set(), "zero deg2": False, "zero weight": False, "root": [],
-            "one edge": {"kinds": set(), "zero deg2": False, "keeps none": False,
-                         "root": []}}
+    seen = {"kinds": set(), "zero deg2": False, "zero weight": False,
+            "keeps none": False, "root": []}
     # the path runs under its optimal cover only
     for zero_weight in (False,) if name == "path" else (False, True):
         plan = _plan(name, zero_weight)
@@ -149,11 +142,10 @@ def test_table_at_scale_matches_per_candidate_table(name):
     if name == "path":
         # every step weighs one edge (R and T weigh 1, S 0); the root
         # table maps over a column of many distinct deg2
-        one = seen["one edge"]
         assert plan.cover.weights == {0: 1, 1: 0, 2: 1}
-        assert one["kinds"] == {"own counts", "dict", "count_of"}
-        assert one["zero deg2"] and one["keeps none"]
-        assert one["root"] and all(distinct >= 100 for _, distinct in one["root"])
+        assert seen["kinds"] == {"own counts", "dict", "count_of"}
+        assert seen["zero deg2"] and seen["keeps none"]
+        assert seen["root"] and all(distinct >= 100 for _, distinct in seen["root"])
         return
     assert seen["kinds"] == {"own counts", "dict", "count_of"}
     assert seen["zero deg2"] and seen["zero weight"]
