@@ -509,7 +509,11 @@ def _gj_table(rec, s):
 
     The memo, a _Deg2Probs, is mapped over the deg2 in builtins: over one
     weighted edge the column itself, whose ints key the memo, and over
-    several the zip of the columns, each tuple hashed once."""
+    several the zip of the columns, each tuple hashed once. Each distinct
+    deg2 costs one call of __missing__ from C, so a table where many
+    candidates carry a new deg2 (about one in four under tri-dense's ½-½-½
+    cover) builds slower than an inline loop would; one path keeps
+    agm_ratio's expressions in one place."""
     views = rec.projections(s)
     smallest = min(views, key=View.size)
     n = smallest.size()
