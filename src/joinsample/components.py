@@ -27,8 +27,8 @@ same attempt by 1/P times the orbit size.
 ComponentPlan resolves once what the trials look up: each component's
 record (_Star, _Cycle) and the cross edges' probes hold indexes and degree
 probes (estimators._probe) only, never a degree or a value, so emptying
-the plan's probe memo and _inc leaves it cold. A drawn row's multiplicity
-is counted by the descent that drew it (TrieIndex._descend with a depth).
+_inc leaves it cold. A drawn row's multiplicity is counted by the descent
+that drew it (TrieIndex._descend with a depth).
 """
 
 from __future__ import annotations
@@ -100,10 +100,14 @@ class ComponentPlan:
         self.query = query
         sizes = relation_sizes(db, query)
         self.empty = any(n == 0 for n in sizes.values())
+        self.plan = None
+        self.components = []
+        self.cross_edges = []
+        self.fallback = False
+        self._cross = ()
+        self._first_column = {}   # cycle relation -> index incidence walks
+        self._inc = {}
         if self.empty:
-            self.components = []
-            self.fallback = False
-            self.plan = None
             return
         cover, comps = half_integral_cover(query, sizes)
         self.plan = Plan(db, query, cover=cover)
@@ -111,8 +115,6 @@ class ComponentPlan:
         self.cross_edges = [e for e in query.edges if e.eid not in support]
         self.fallback = bool(self.cross_edges)
         by_id = {e.eid: e for e in query.edges}
-        self.components = []
-        self._first_column = {}   # cycle relation -> index incidence walks
         self._cross = tuple(_probe(self.plan, e, e.attrs) for e in self.cross_edges)
         for kind, attrs, eids in comps:
             edges = [by_id[i] for i in eids]
@@ -141,7 +143,6 @@ class ComponentPlan:
                 comp = Component("star", [center] + leaves, edges)
                 comp.rec = _Star(self.plan, comp)
                 self.components.append(comp)
-        self._inc = {}
 
     def incidence(self, relname, value) -> int:
         """Rows of the relation carrying the value in either column."""
@@ -307,7 +308,7 @@ def _star_trial_sste(cplan, comp, rng):
         deg = _degree(cplan.plan, probe, bound)
         if deg == 0:
             return 0.0, []
-        idx = probe[2]
+        idx = probe[0]
         row, mult = idx._descend([a], rng, len(idx.order))
         inv_p *= deg / mult
         full.update(zip(idx.order, row))

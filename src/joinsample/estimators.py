@@ -16,7 +16,7 @@ Strategies:
                 leftover mass. The table reads each weighted edge's deg2
                 for all candidates at once as a degree column, computes
                 one probability per distinct deg2 (a tuple over several
-                weighted edges), is kept in the plan's probe memo, then
+                weighted edges), is kept in the plan's step-table memo, then
                 drawn from; ops are charged per candidate per edge on every
                 step, memo hit or not. A dict that computes each missing
                 deg2's probability is mapped over the deg2 in builtins: one
@@ -88,12 +88,10 @@ class Plan:
     only on the query and remaining. Records hold indexes but no degree,
     value or table, so emptying _deg_cache leaves the plan cold.
 
-    _deg_cache is the plan's one probe memo. It holds edge degrees, keyed
-    by (eid, column values), and step tables, keyed by a strategy tag
-    ("gj" or "alley"), the attribute a and the values bound on the
-    attributes of the edges containing a (the record's near). The tag is a
-    string and an eid an int, so the two kinds of key never meet.
-    Emptying the memo forgets both; no probe's op charge depends on it.
+    _deg_cache is the plan's step-table memo, keyed by a strategy tag ("gj"
+    or "alley"), the attribute a and the values bound on the attributes of
+    the edges containing a (the record's near). No op charge depends on it.
+    Degrees are not memoised: a resolved probe is one trie walk.
     """
 
     def __init__(self, db, query: Hypergraph, elim_order=None, skip_nonjoin=False,
@@ -139,26 +137,13 @@ class Plan:
         return rec
 
     def edge_degree(self, edge, s) -> int:
-        """|R_F ⋉ s| restricted to the attrs of F bound in s, memoized.
-
-        Keyed by the edge's column values, None where unbound (values are
-        interned ints); a miss walks the edge's bound-first index for s. The
-        op meter is charged whether or not the cache hits: the cache is a
-        shortcut of this implementation, not of the cost model. The probes
-        that step and component records resolve (_degree) read and fill the
-        same entries.
-        """
-        key = (edge.eid, *map(s.get, edge.attrs))
-        self.db.ops.n += 1
-        hit = self._deg_cache.get(key)
-        if hit is not None:
-            return hit
-        idx = bound_first_index(self.db, edge, s)
-        deg = self._deg_cache[key] = idx._walk([s[a] for a in idx.order if a in s])[1]
-        return deg
+        """|R_F ⋉ s| restricted to the attrs of F bound in s: one op and one
+        walk of the edge's bound-first index for s. The probes that step and
+        component records resolve (_degree) give the same value and charge."""
+        return bound_first_index(self.db, edge, s).degree(s)
 
     def step_table(self, key, a, build):
-        """The step table for attribute a under key, from the probe memo.
+        """The step table for attribute a under key, from the step-table memo.
 
         A miss stores build(), which projects every edge containing a (one
         op each); a hit charges those projections' ops itself, so the meter
@@ -255,10 +240,8 @@ class _Step:
         self.draws = tuple(bound_first_index(plan.db, e, bound, a) for e in self.edges)
         self.prefixes = tuple(tuple(x for x in idx.order if x in bound)
                               for idx in self.draws)
-        self.before = tuple((e.eid, e.attrs, idx, prefix) for e, idx, prefix
-                            in zip(self.edges, self.draws, self.prefixes))
-        self.after = tuple((eid, attrs, idx, prefix + (a,))
-                           for eid, attrs, idx, prefix in self.before)
+        self.before = tuple(zip(self.draws, self.prefixes))
+        self.after = tuple((idx, prefix + (a,)) for idx, prefix in self.before)
         self.left = {(a,): remaining - {a}}
         self.walk = None
 
@@ -327,8 +310,8 @@ class _Walk:
     """WanderJoin's step on `remaining`.
 
     I: the attributes of the first edge with any in remaining, sorted.
-    base: that edge's degree probe before the step. A probe is (eid, edge
-    attrs, bound-first index, bound prefix of the index order).
+    base: that edge's degree probe before the step. A probe is (bound-first
+    index, bound prefix of the index order).
     index, prefix: base's index, which the row is drawn from, and prefix.
     take: (attribute, position in the drawn row) for each of I.
     depth: where I ends in index's order when I directly follows prefix
@@ -347,7 +330,7 @@ class _Walk:
         self.I = tuple(a for a in sorted(edge.attrs) if a in remaining)
         bound = plan.sampled - remaining
         self.base = _probe(plan, edge, bound)
-        _, _, self.index, self.prefix = self.base
+        self.index, self.prefix = self.base
         self.take = tuple((a, i) for i, a in enumerate(self.index.order) if a in self.I)
         bound = bound | set(self.I)
         end = len(self.prefix) + len(self.I)
@@ -361,19 +344,14 @@ class _Walk:
 def _probe(plan, edge, bound):
     """A degree probe of edge under a binding of the attributes `bound`."""
     idx = bound_first_index(plan.db, edge, bound)
-    return edge.eid, edge.attrs, idx, tuple(a for a in idx.order if a in bound)
+    return idx, tuple(a for a in idx.order if a in bound)
 
 
 def _degree(plan, probe, s) -> int:
-    """Plan.edge_degree through a resolved probe: the same memo key, value
-    and op charge, with no index lookup."""
-    eid, attrs, idx, prefix = probe
-    key = (eid, *map(s.get, attrs))
+    """Plan.edge_degree through a resolved probe, with no index lookup."""
+    idx, prefix = probe
     plan.db.ops.n += 1
-    deg = plan._deg_cache.get(key)
-    if deg is None:
-        deg = plan._deg_cache[key] = idx._walk([s[a] for a in prefix])[1]
-    return deg
+    return idx._walk([s[a] for a in prefix])[1]
 
 
 class AlleyPlus:
@@ -383,8 +361,8 @@ class AlleyPlus:
     edges containing the next attribute a: the smallest projection's keys,
     in order, that every other projection's degree column (_degree_column)
     counts as non-zero. Ω depends only on a and the values bound on the
-    step record's near, so it is kept in the plan's probe memo and shared
-    by every b. Each step charges one op per projection and
+    step record's near, so it is kept in the plan's step-table memo and
+    shared by every b. Each step charges one op per projection and
     max(1, |smallest|) for the scan, memo hit or not, then keeps
     ceil(b·|Ω|) of Ω.
     """
@@ -470,8 +448,8 @@ class GJSample:
     expressions).
 
     A table reads only a and the values s binds on the record's near (None
-    where unbound), so the plan's probe memo keeps it under those, built
-    once per plan; a later step with the same key only draws from it.
+    where unbound), so the plan's step-table memo keeps it under those,
+    built once per plan; a later step with the same key only draws from it.
 
     The op meter is charged for the full table on every step, memo hit or
     not: one op per projection, one degree probe per edge for deg1,

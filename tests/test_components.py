@@ -122,6 +122,17 @@ def test_empty_component_plan():
     assert variance_bound_sste(cp, 5.0) == 0.0
 
 
+def test_an_empty_component_plan_sets_what_a_full_one_sets():
+    # one empty relation returns early from ComponentPlan, after setting the
+    # same attributes as a plan that decomposes
+    db, query, _ = build("empty-tri")
+    cp = ComponentPlan(db, query.hypergraph)
+    full_db, full_query, _ = build("sym-tri")
+    assert vars(cp).keys() == vars(ComponentPlan(full_db, full_query.hypergraph)).keys()
+    assert (cp.plan, cp.components, cp.cross_edges, cp.fallback) == (None, [], [], False)
+    assert (cp._cross, cp._first_column, cp._inc) == ((), {}, {})
+
+
 def test_variance_bound_formula():
     db, query, _ = build("sym-tri")
     cp = ComponentPlan(db, query.hypergraph)

@@ -4,9 +4,10 @@ import pytest
 
 from conftest import build, oracle
 from joinsample import (
-    AlleyPlus, DRS, GJSample, Plan, QueryError, TrieIndex, UnsupportedOrderError,
-    WanderJoin, derive_rng, estimate_with_guarantee, generic_card_est, generic_join,
-    make_strategy, per_answer_probability, uniform_sample, variance_bound,
+    AlleyPlus, ComponentPlan, DRS, GJSample, Plan, QueryError, TrieIndex,
+    UnsupportedOrderError, WanderJoin, derive_rng, estimate_with_guarantee,
+    generic_card_est, generic_join, make_strategy, per_answer_probability,
+    sste_trial, uniform_sample, variance_bound,
 )
 
 
@@ -288,8 +289,38 @@ def _memo_runs(fix, skip, group, cold, n=60):
     ("sym-5cyc", False, ("B",)),
 ], ids=lambda v: "".join(v) if isinstance(v, tuple) else str(v))
 def test_a_warm_plan_matches_a_cleared_one(fix, skip, group):
-    # a table kept in the probe memo must give the trial the cleared plan
+    # a table kept in the step-table memo must give the trial the cleared plan
     # gives: same values, same ops, whatever entries earlier trials left
     warm = _memo_runs(fix, skip, group, cold=False)
     assert warm == _memo_runs(fix, skip, group, cold=True)
     assert any(warm[0])
+
+
+def _keeps_only_step_tables(memo):
+    return all(key[0] in ("gj", "alley") for key in memo)
+
+
+@pytest.mark.parametrize("fix, skip", [
+    ("tri-skew", False), ("cycle4", False), ("path3", True),
+])
+def test_the_plan_memoises_no_degree(fix, skip):
+    # a resolved probe is one trie walk; only GJ and alley step tables are
+    # worth keeping, so no trial and no edge_degree call stores a degree
+    db, query, _ = build(fix)
+    plan = Plan(db, query.hypergraph, skip_nonjoin=skip)
+    for st in (WanderJoin(), AlleyPlus(b=0.5), GJSample(), DRS()):
+        for i in range(200):
+            generic_card_est(plan, st, rng=derive_rng("nodeg", f"{fix}/{st.name}", i))
+    for edge in plan.query.edges:
+        plan.edge_degree(edge, {})
+    assert any(key[0] == "gj" for key in plan._deg_cache)
+    assert any(key[0] == "alley" for key in plan._deg_cache)
+    assert _keeps_only_step_tables(plan._deg_cache)
+
+
+@pytest.mark.parametrize("fix", ["sym-mixed", "k4", "star3"])
+def test_the_component_plan_memoises_no_degree(fix):
+    db, query, _ = build(fix)
+    cp = ComponentPlan(db, query.hypergraph)
+    assert any(sste_trial(cp, derive_rng("nodeg", fix, i)) for i in range(200))
+    assert _keeps_only_step_tables(cp.plan._deg_cache)

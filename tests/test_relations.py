@@ -275,7 +275,7 @@ def test_probes_match_brute_force(bag, seed):
                 assert plan.edge_degree(edge, s) == want
                 assert ops.n == before + 1
                 size = len(plan._deg_cache)
-                assert plan.edge_degree(edge, s) == want     # a cache hit
+                assert plan.edge_degree(edge, s) == want     # charges its op again
                 assert ops.n == before + 2 and len(plan._deg_cache) == size
 
                 # every index a probe or a row draw reads takes s as a
