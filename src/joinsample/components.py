@@ -109,7 +109,7 @@ class ComponentPlan:
         self._inc = {}
         if self.empty:
             return
-        cover, comps = half_integral_cover(query, sizes)
+        cover, comps = half_integral_cover(query, sizes, db)
         self.plan = Plan(db, query, cover=cover)
         support = {e for e, w in cover.weights.items() if w}
         self.cross_edges = [e for e in query.edges if e.eid not in support]

@@ -55,7 +55,7 @@ from .queries import (
     QueryError,
     agm,
     bound_first_index,
-    fractional_edge_cover,
+    database_cover,
     relation_sizes,
     validate,
 )
@@ -72,11 +72,12 @@ class StepOutcome:
 class Plan:
     """Per-query precomputation shared by every trial.
 
-    Holds the fixed cover (computed once on the original sizes and reused for
-    all residual AGM ratios), the attribute elimination order and the
-    per-attribute edge lists. With skip_nonjoin=True, attributes that appear
-    in exactly one edge are never sampled; the leaf returns the product of
-    their per-edge distinct-extension counts instead of 1.
+    Holds the fixed cover (the database's, solved once on the original
+    sizes, and reused for all residual AGM ratios), the attribute elimination
+    order and the per-attribute edge lists. With skip_nonjoin=True,
+    attributes that appear in exactly one edge are never sampled; the leaf
+    returns the product of their per-edge distinct-extension counts instead
+    of 1.
 
     Every probe, projection and row draw reads the bound-first index of its
     edge (queries.bound_first_index, the one order rule), which the database
@@ -105,7 +106,7 @@ class Plan:
             self.cover = None
             self.agm = 0.0
         else:
-            self.cover = cover or fractional_edge_cover(query, self.sizes)
+            self.cover = cover or database_cover(db, query, self.sizes)
             self.agm = agm(self.cover, self.sizes).value
         self.skipped = frozenset(
             a for a in query.attributes if len(query.edges_containing(a)) == 1

@@ -2,14 +2,17 @@
 
 The cover LP (minimize Σ x_F·log|R_F| subject to Σ_{F∋v} x_F ≥ 1 and
 x_F ≥ 0) is solved exactly over rationals by enumerating basic feasible
-solutions; queries are tiny, so the polyhedron has few vertices. Each
-candidate vertex is the solution of m tight rows with 0/1 coefficients,
-found by fraction-free (Bareiss) elimination in integers; only its m
-weights become Fractions. Objectives are compared without floats by
+solutions; queries are tiny, so the polyhedron has few vertices. They are
+enumerated by support: each candidate is the solution of |S| tight cover
+rows over an edge set S that covers every attribute, with 0/1
+coefficients, found by fraction-free (Bareiss) elimination in integers and
+checked on its integer numerators; only a feasible vertex's weights become
+Fractions. Objectives that floats cannot tell apart are compared by
 raising the integer sizes to L·x_F powers (L = lcm of the exponent
 denominators) and comparing the resulting big integers, so tie-breaking is
 deterministic: among optima, the lexicographically smallest weight vector
-wins.
+wins. A Database keeps each solved cover (`database_cover`), so the plans
+over one database solve each LP once.
 
 No x_F ≤ 1 rows are needed: costs log|R_F| are ≥ 0, so lowering a weight
 above 1 to 1 keeps a cover feasible at no higher cost. The lexicographically
@@ -34,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 
 class QueryError(ValueError):
@@ -211,62 +215,72 @@ def _compare_objectives(sizes_by_eid, wa, wb):
 def fractional_edge_cover(query: Hypergraph, sizes) -> Cover:
     """Exact optimal cover minimizing Π |R_F|^{x_F} (sizes keyed by eid).
 
-    Enumerates basic feasible solutions: every vertex is the unique solution
-    of m tight rows drawn from the cover rows and the rows x_F = 0 (no
-    x_F = 1 rows; see the module docstring), solved in integers by
-    `_solve_exact`. Deterministic tie-break: lexicographically smallest
-    weight vector (by eid) among optima.
+    Enumerates basic feasible solutions by support. A vertex solves m tight
+    rows, cover rows and rows x_F = 0 (no x_F = 1 rows; see the module
+    docstring); with k cover rows, x_F = 0 off a set S of k edges, and the
+    cover rows over S form a k×k system, nonsingular exactly when the m×m
+    one is. So each edge set S that meets every attribute is tried, by size,
+    with each choice of k distinct cover rows over S, solved in integers by
+    `_solve_exact`. Bounds and coverage are checked on the numerators, and a
+    vertex with a zero weight in S is left to its own support; only a
+    feasible vertex gets Fraction weights. Ties go to the lexicographically
+    smallest weight vector (by eid), whatever order vertices are met in.
     """
-    m = len(query.edges)
-    sizes_by_eid = {e.eid: int(sizes[e.eid]) for e in query.edges}
+    edges = query.edges
+    sizes_by_eid = {e.eid: int(sizes[e.eid]) for e in edges}
     for eid, n in sizes_by_eid.items():
         if n < 1:
             raise QueryError(f"edge {eid} has size {n} < 1")
-    rows = []
-    for a in query.attributes:
-        coeffs = [1 if a in e.attr_set else 0 for e in query.edges]
-        rows.append((coeffs, 1))
-    for j in range(m):
-        coeffs = [0] * m
-        coeffs[j] = 1
-        rows.append((coeffs, 0))
-
+    # one row per distinct attribute incidence: equal rows are one constraint
+    incidence = sorted({tuple(int(a in e.attr_set) for e in edges)
+                        for a in query.attributes})
     best = None
-    for combo in itertools.combinations(range(len(rows)), m):
-        sol = _solve_exact([rows[i] for i in combo], m)
-        if sol is None:
-            continue
-        cand = Cover({e.eid: sol[j] for j, e in enumerate(query.edges)})
-        if not cand.feasible(query):
-            continue
-        if best is None:
-            best = cand
-            continue
-        cmp = _compare_objectives(sizes_by_eid, cand.weights, best.weights)
-        if cmp < 0 or (cmp == 0 and _lex_key(cand) < _lex_key(best)):
-            best = cand
+    for k in range(1, min(len(edges), len(incidence)) + 1):
+        for support in itertools.combinations(range(len(edges)), k):
+            # the cover rows over S; two equal ones make a system singular
+            rows = sorted({tuple(map(row.__getitem__, support)) for row in incidence})
+            if not all(map(any, rows)):
+                continue
+            for combo in itertools.combinations(rows, k):
+                sol = _solve_exact([(row, 1) for row in combo], k)
+                if sol is None:
+                    continue
+                nums, det = sol
+                # a zero weight in S: the same vertex is met on a smaller S
+                if not all(0 < v <= det for v in nums) or any(
+                        sum(compress(nums, row)) < det for row in rows):
+                    continue
+                x = dict.fromkeys(sizes_by_eid, Fraction(0))
+                for j, v in zip(support, nums):
+                    x[edges[j].eid] = Fraction(v, det)
+                if best is not None:
+                    cmp = _compare_objectives(sizes_by_eid, x, best)
+                    if cmp > 0 or (cmp == 0 and _lex_key(x) >= _lex_key(best)):
+                        continue
+                best = x
     if best is None:
         raise QueryError("cover LP has no feasible vertex (unreachable for valid queries)")
-    return best
+    return Cover(best)
 
 
-def _lex_key(cover: Cover):
-    return tuple(cover.weights[eid] for eid in sorted(cover.weights))
+def _lex_key(weights):
+    return tuple(weights[eid] for eid in sorted(weights))
 
 
 def _solve_exact(tight_rows, m):
-    """Solve the m×m system of integer rows (coeffs, rhs) exactly; None
-    when singular.
+    """Solve the m×m system of integer rows (coeffs, rhs) exactly: (nums,
+    det) with x_i = nums[i] / det and det > 0, all integers; None when
+    singular.
 
     Fraction-free Gauss–Jordan (Bareiss): eliminating column k replaces
     every other row by (p·row − row[k]·pivot row) / prev, where p is this
     pivot and prev the one before. Each entry is then a minor of the
     augmented matrix, so every division is exact and the entries stay
     integers; at the end each diagonal entry is the last pivot, ±det, and
-    x_i = row_i[m] / det is the only Fraction built per value. Pivots are
-    the ones elimination over rationals takes (the first nonzero entry at
-    or below the diagonal), so a system is reported singular exactly when
-    that elimination finds it so, and otherwise gets the same solution.
+    row_i[m] / det is x_i. Pivots are the ones elimination over rationals
+    takes (the first nonzero entry at or below the diagonal), so a system is
+    reported singular exactly when that elimination finds it so, and
+    otherwise gets the same solution.
     """
     a = [[*coeffs, rhs] for coeffs, rhs in tight_rows]
     prev = 1
@@ -282,7 +296,20 @@ def _solve_exact(tight_rows, m):
             if i != k and (f or p != prev):  # else the row is unchanged
                 a[i] = [(p * v - f * w) // prev for v, w in zip(a[i], pivot_row)]
         prev = p
-    return [Fraction(a[i][m], prev) for i in range(m)]
+    nums = [row[m] for row in a]
+    return (nums, prev) if prev > 0 else ([-v for v in nums], -prev)
+
+
+def database_cover(db, query: Hypergraph, sizes) -> Cover:
+    """fractional_edge_cover(query, sizes), solved once per database for
+    each (edge attributes, sizes), which fix the LP: the database keeps the
+    solution next to `bound_first`, and every caller gets its own copy, as
+    a Cover can be changed."""
+    key = tuple((e.attrs, sizes[e.eid]) for e in query.edges)
+    cover = db.covers.get(key)
+    if cover is None:
+        cover = db.covers[key] = fractional_edge_cover(query, sizes)
+    return Cover(dict(cover.weights))
 
 
 def agm(cover: Cover, sizes) -> AgmValue:
@@ -308,21 +335,23 @@ def residual_agm(db, query: Hypergraph, cover: Cover, remaining, s) -> float:
     return math.exp(log)
 
 
-def half_integral_cover(query: Hypergraph, sizes=None):
+def half_integral_cover(query: Hypergraph, sizes=None, db=None):
     """Optimal cover with x_F ∈ {0, 1/2, 1} whose support splits into
     vertex-disjoint odd cycles (all halves) and stars (all ones).
 
     Only defined for binary edges. Returns (Cover, components) where each
     component is ("cycle", [attr cycle sequence], [eids in cycle order]) or
     ("star", center attr, [eids]). The cover is fractional_edge_cover's,
-    which for binary edges already has this shape (see the module docstring).
+    which for binary edges already has this shape (see the module docstring),
+    and the database's (database_cover) when a db is given.
     """
     for e in query.edges:
         if len(e.attrs) != 2:
             raise QueryError(f"edge {e.eid} is not binary")
     if sizes is None:
         sizes = {e.eid: 2 for e in query.edges}
-    cover = fractional_edge_cover(query, sizes)
+    cover = fractional_edge_cover(query, sizes) if db is None else \
+        database_cover(db, query, sizes)
     comps = _support_components(query, cover)
     if comps is None:
         raise QueryError("no half-integral optimum with cycle/star support (unexpected)")

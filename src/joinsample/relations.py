@@ -13,7 +13,8 @@ database and a trial step does only the walk.
 A Database owns the interner, the loaded relations, the deduplicated
 projections derived from them, one sorted row list per (source, column
 positions), where a source is a loaded relation's name or a projection's
-(source, positions), and two index caches. `bound_first` holds the
+(source, positions), the fractional edge covers solved over it (`covers`,
+see `queries.database_cover`) and two index caches. `bound_first` holds the
 bound-first index of each (relation, edge attributes, bound attributes,
 next attribute), which `queries.bound_first_index` reads and fills. Behind
 it is one trie per (source, column permutation); `Database.index` makes a
@@ -25,12 +26,18 @@ benchmark reports read as the cost measure T. Index builds are treated as
 preprocessing and are not metered.
 
 Set-up does its per-row work in builtins, not in a Python loop per row or
-value: a data line is read by `map(int, ...)`, a load checks arity and
-collects values with `set`/`map`/`chain` and encodes rows with
-`map(<id lookup>, row)`, and projections and trie reorders read columns with
-`operator.itemgetter` before one `sorted`. Only `_build_levels` walks the
-sorted rows in Python: its inner loop compares every row's value at every
-depth, so a build reads each row once per level of the trie.
+value. A file's data lines are split in one `split` and read by one
+`map(int, ...)` (falling back to a token-by-token read when some value is
+not an int), and the rows are cut from the values by `zip`; only a file
+whose lines differ in field count is read line by line. A load checks arity
+with `set`/`map`, transposes the rows into columns, interns their values in
+one batch and encodes them a column at a time with `map(<id lookup>,
+column)`, zipping the id columns back into rows. Projections and trie
+reorders read columns with `operator.itemgetter` before one `sorted`. Only
+`_build_levels` walks the sorted rows in Python: its inner loop compares
+every row's value at every depth, so a build reads each row once per level
+of the trie. Its nodes hold their counts and children in tuples, so that
+the garbage collector stops tracking those of ints and None.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter, sub
+from operator import itemgetter, methodcaller, sub
 
 
 class SchemaError(ValueError):
@@ -81,10 +88,14 @@ class Interner:
             self.intern(v)
 
     def intern_rows(self, rows) -> list:
-        """Each row as a tuple of ids, its values interned in one batch."""
-        self.intern_batch(chain.from_iterable(rows))
+        """Each row, all of one arity, as a tuple of ids, its values
+        interned in one batch and looked up a column at a time."""
+        columns = list(zip(*rows))
+        if not columns:  # no rows, or rows of arity 0
+            return [()] * len(rows)
+        self.intern_batch(chain.from_iterable(columns))
         vid = self._ids.__getitem__
-        return [tuple(map(vid, row)) for row in rows]
+        return list(zip(*[map(vid, column) for column in columns]))
 
     def decode(self, vid: int):
         return self._values[vid]
@@ -125,30 +136,36 @@ def load_relation(name, schema, rows, interner=None) -> Relation:
 
 
 class _Node:
+    """One trie level under a prefix. Counts and children are tuples, which
+    the garbage collector stops tracking once they hold only ints or None;
+    keys stay a list, as lists compare equal (see estimators._degree_column)
+    far faster than tuples do."""
+
     __slots__ = ("keys", "cum", "children")
 
-    def __init__(self):
-        self.keys = []
-        self.cum = [0]  # cum[i] = tuples under keys[:i]; cum[-1] = node total
-        self.children = []  # aligned with keys; None at the last level
+    def __init__(self, keys, cum, children):
+        self.keys = keys
+        self.cum = cum  # cum[i] = tuples under keys[:i]; cum[-1] = node total
+        self.children = children  # aligned with keys; None at the last level
 
 
 def _build_levels(sorted_tuples, lo, hi, depth, arity):
-    node = _Node()
+    last = depth + 1 == arity
+    keys, cum, children = [], [0], []
+    rows = 0
     i = lo
     while i < hi:
         key = sorted_tuples[i][depth]
-        j = i
+        j = i + 1
         while j < hi and sorted_tuples[j][depth] == key:
             j += 1
-        node.keys.append(key)
-        node.cum.append(node.cum[-1] + (j - i))
-        if depth + 1 < arity:
-            node.children.append(_build_levels(sorted_tuples, i, j, depth + 1, arity))
-        else:
-            node.children.append(None)
+        keys.append(key)
+        rows += j - i
+        cum.append(rows)
+        if not last:
+            children.append(_build_levels(sorted_tuples, i, j, depth + 1, arity))
         i = j
-    return node
+    return _Node(keys, tuple(cum), (None,) * len(keys) if last else tuple(children))
 
 
 def _sorted_rows(rows, positions, arity, distinct=False) -> list:
@@ -191,7 +208,7 @@ class TrieIndex:
         self._counter = counter
         reordered = _sorted_rows(relation.tuples, perm, relation.arity)
         self.root = _build_levels(reordered, 0, len(reordered), 0, len(order)) \
-            if reordered else _Node()
+            if reordered else _Node([], (0,), ())
 
     def relabel(self, relation: Relation, order) -> TrieIndex:
         """This trie with its levels named `order`, over `relation`: the root
@@ -376,6 +393,7 @@ class Database:
         self._rows: dict[tuple, list] = {}   # (source, positions) -> sorted rows
         self._tries: dict[tuple, TrieIndex] = {}  # (source, permutation) -> build
         self.bound_first: dict = {}  # see queries.bound_first_index
+        self.covers: dict = {}  # see queries.database_cover
         self.ops = OpCounter()
 
     def load(self, name, schema, rows) -> Relation:
@@ -446,18 +464,21 @@ def _parse_value(token: str):
         return token
 
 
-def _parse_row(line: str) -> tuple:
-    """One data line's values: all ints read in one pass when they parse
-    (int() strips whitespace itself), else token by token."""
-    toks = line.split(",")
+def _parse_values(tokens) -> list:
+    """The tokens' values: all ints read in one pass when they parse (int()
+    strips whitespace itself), else token by token."""
     try:
-        return tuple(map(int, toks))
+        return list(map(int, tokens))
     except ValueError:
-        return tuple(map(_parse_value, toks))
+        return list(map(_parse_value, tokens))
 
 
 def parse_relation_file(text: str):
-    """`name:A,B` header, then comma-separated value lines; blanks ignored."""
+    """`name:A,B` header, then comma-separated value lines; blanks ignored.
+
+    When every line has as many fields, all of them are split and read at
+    once and the rows cut from the values; a ragged file is read line by
+    line, so that loading it names its first row of the wrong arity."""
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise SchemaError("empty relation file")
@@ -468,7 +489,14 @@ def parse_relation_file(text: str):
     attrs = tuple(a.strip() for a in attrs.split(","))
     if not all(attrs):
         raise SchemaError(f"bad attribute list in header {head!r}")
-    return name.strip(), attrs, list(map(_parse_row, lines[1:]))
+    data = lines[1:]
+    commas = set(map(methodcaller("count", ","), data))
+    if len(commas) == 1:
+        values = iter(_parse_values(",".join(data).split(",")))
+        rows = list(zip(*[values] * (commas.pop() + 1)))
+    else:  # ragged, or no rows
+        rows = [tuple(_parse_values(line.split(","))) for line in data]
+    return name.strip(), attrs, rows
 
 
 def load_relation_file(db: Database, path) -> Relation:

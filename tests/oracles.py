@@ -185,6 +185,38 @@ def exact_cover_vertex(edge_attrs, sizes):
     return best
 
 
+def tight_row_cover(attributes, edge_attrs, sizes):
+    """The cover LP's optimum by tight-row enumeration: every choice of m
+    tight rows out of the |attributes| cover rows and the m rows x_F = 0,
+    C(|attributes| + m, m) systems in all, each solved by the package's
+    integer solver (checked against fraction_solve on its own); feasible
+    vertices (cover rows met, 0 <= x <= 1) compared by exact AGM, then
+    lexicographically. Returns {edge index: Fraction}."""
+    from joinsample.queries import _solve_exact
+
+    m = len(edge_attrs)
+    rows = [([1 if a in ats else 0 for ats in edge_attrs], 1) for a in attributes]
+    rows += [([1 if i == j else 0 for i in range(m)], 0) for j in range(m)]
+    best = None
+    for combo in itertools.combinations(rows, m):
+        sol = _solve_exact(combo, m)
+        if sol is None:
+            continue
+        x = [Fraction(v, sol[1]) for v in sol[0]]
+        if not all(0 <= v <= 1 for v in x) or any(
+                sum(v for v, ats in zip(x, edge_attrs) if a in ats) < 1
+                for a in attributes):
+            continue
+        if best is None:
+            best = x
+            continue
+        cmp = _agm_cmp(x, best, sizes)
+        if cmp < 0 or (cmp == 0 and x < best):
+            best = x
+    assert best is not None
+    return dict(enumerate(best))
+
+
 def half_integral_reference(edge_attrs, sizes):
     """Optimal cover in {0, 1/2, 1}^m whose support splits into odd cycles
     of 1/2-edges and stars of 1-edges, by trying all 3^m weight lists.
@@ -271,3 +303,32 @@ def agm_equal(x1, x2, sizes) -> bool:
 
 def chi2_crit(dof: int, q: float = 0.999) -> float:
     return float(stats.chi2.ppf(q, dof))
+
+
+def _parse_token(token):
+    token = token.strip()
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def parse_relation_by_line(text):
+    """(name, attributes, rows) of a relation file read one line at a time:
+    blank lines dropped, the `name:attrs` header stripped, and every comma
+    separated token of a data line read as int() reads it, else as its
+    stripped string."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    name, _, attrs = lines[0].partition(":")
+    return (name.strip(), tuple(a.strip() for a in attrs.split(",")),
+            [tuple(map(_parse_token, line.split(","))) for line in lines[1:]])
+
+
+def intern_by_row(ids, rows):
+    """Rows as id tuples under the value -> id map `ids`, which gains the
+    rows' fresh values first, in one sorted batch (ints before strings,
+    each ascending), numbered on from len(ids)."""
+    fresh = {v for row in rows for v in row} - ids.keys()
+    for v in sorted(fresh, key=lambda v: (type(v).__name__, v)):
+        ids[v] = len(ids)
+    return [tuple(ids[v] for v in row) for row in rows]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import build, raw_edges
 from joinsample import (
-    Database, Plan, QueryError, agm, fractional_edge_cover, generic_join,
+    ComponentPlan, Database, Plan, QueryError, agm, fractional_edge_cover, generic_join,
     half_integral_cover, parse_query_text, residual_agm, validate,
 )
 from joinsample import queries
@@ -209,6 +209,59 @@ def test_half_integral_cover_equals_the_3m_reference(case):
 
 
 @st.composite
+def _hypergraphs_with_sizes(draw):
+    """(hypergraph, sizes): up to 7 attributes and 7 edges of any arity,
+    edges repeating at times; sizes tied across all edges half the time and
+    drawn from few values otherwise, so that optima tie often."""
+    attrs = "ABCDEFG"[:draw(st.integers(1, 7))]
+    edges = draw(st.lists(st.lists(st.sampled_from(attrs), min_size=1, unique=True),
+                          min_size=1, max_size=7))
+    size = st.sampled_from([1, 2, 4, 8, 3, 9])
+    if draw(st.booleans()):
+        sizes = [draw(size)] * len(edges)
+    else:
+        sizes = [draw(size) for _ in edges]
+    used = sorted(set().union(*map(set, edges)))
+    return Hypergraph(used, [(tuple(e), f"R{i}") for i, e in enumerate(edges)]), sizes
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_hypergraphs_with_sizes())
+@example((Hypergraph("ABC", [("AB", "R"), ("BC", "R"), ("AC", "R"), ("ABC", "S")]),
+          [4, 4, 4, 8]))   # ρ* 3/2 two ways: the triangle's halves tie with S alone
+def test_cover_equals_the_tight_row_enumerator(case):
+    hq, sizes = case
+    cover = fractional_edge_cover(hq, dict(enumerate(sizes)))
+    assert cover.weights == oracles.tight_row_cover(
+        hq.attributes, [e.attr_set for e in hq.edges], sizes)
+
+
+def test_one_database_solves_each_cover_once(monkeypatch):
+    solved = []
+
+    def spy(query, sizes):
+        solved.append(dict(sizes))
+        return fractional_edge_cover(query, sizes)
+
+    monkeypatch.setattr(queries, "fractional_edge_cover", spy)
+    db, query, _ = build("sym-tri")
+    hq = query.hypergraph
+    first = Plan(db, hq)
+    ComponentPlan(db, hq)
+    Plan(db, hq)
+    assert solved == [relation_sizes(db, hq)]
+    # a changed cover is the caller's own; later plans get the solved one
+    want = dict(first.cover.weights)
+    first.cover.weights[0] = Fraction(1)
+    assert Plan(db, hq).cover.weights == want
+    assert len(solved) == 1
+    # a new database solves again, as a new process would
+    again, _, _ = build("sym-tri")
+    Plan(again, hq)
+    assert len(solved) == 2
+
+
+@st.composite
 def _square_systems(draw):
     """(rows, m): m rows (coeffs, rhs) over m unknowns, coefficients and
     right-hand sides 0 or 1, as the cover LP's tight rows are; most are
@@ -228,6 +281,9 @@ def test_integer_solver_equals_the_fraction_oracle(case):
     rows, m = case
     want = oracles.fraction_solve(rows, m)
     got = queries._solve_exact(rows, m)
+    if got is not None:
+        nums, det = got
+        got = [Fraction(v, det) for v in nums]
     if want is None:
         assert got is None
     else:

@@ -1,14 +1,17 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from joinsample import (
     Database, EmptySemijoinError, Hypergraph, Plan, SchemaError,
     UnsupportedOrderError, TrieIndex, load_relation, parse_relation_file,
 )
 from joinsample.queries import bound_first_index
+from joinsample.relations import Interner
 
 
 def small_db():
@@ -426,6 +429,54 @@ def test_arity_error_names_the_first_bad_row():
         load_relation("R", ("A", "B"), [(1, 2), (4, 5, 6), (3,)])
 
 
+@st.composite
+def _relation_texts(draw):
+    """A relation file's text: a padded header, then up to 12 data lines of
+    one field count or, at times, ragged, with blank lines among them.
+    Tokens are signed, padded or underscored ints, strings and empty ones."""
+    arity = draw(st.integers(1, 3))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    digits = st.integers(0, 30).map(str)
+    token = st.one_of(
+        st.tuples(st.sampled_from(["", "-", "+"]), digits).map("".join),
+        st.sampled_from(["1_0", "0_1", "007", "a", "b c", "x", "", "_", "1 2", "-"]),
+        digits)
+    fields = st.lists(st.tuples(pad, token, pad).map("".join),
+                      min_size=arity, max_size=arity)
+    if draw(st.integers(0, 3)) == 0:   # ragged: any field count per line
+        fields = st.lists(st.tuples(pad, token, pad).map("".join), min_size=1, max_size=4)
+    lines = draw(st.lists(st.one_of(fields.map(",".join), st.sampled_from(["", "  "])),
+                          max_size=12))
+    head = f" R : {','.join('ABC'[:arity])}"
+    return "\n".join([head] + lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_relation_texts(), st.lists(st.one_of(st.integers(0, 5), st.just("a")), max_size=4))
+@example("R:A\n", [])                                # no rows
+@example("R:A,B\n1,2\n3\n", [1])                    # ragged
+def test_parse_and_intern_equal_the_line_by_line_reading(text, earlier):
+    name, schema, rows = parse_relation_file(text)
+    assert (name, schema, rows) == oracles.parse_relation_by_line(text)
+    # ids as a per-row interner hands them out, after earlier values
+    interner = Interner()
+    for v in earlier:
+        interner.intern(v)
+    ids = dict(interner._ids)
+    if len(set(map(len, rows))) <= 1:
+        assert interner.intern_rows(rows) == oracles.intern_by_row(ids, rows)
+        assert interner._ids == ids
+    else:   # a ragged file's load names its first row of another arity
+        bad = next(r for r in rows if len(r) != len(schema))
+        with pytest.raises(SchemaError, match=re.escape(f"row {bad!r} has arity")):
+            load_relation(name, schema, rows, interner)
+
+
+def test_rows_of_arity_zero_load():
+    rel = load_relation("R", (), [(), ()])
+    assert rel.tuples == [(), ()] and len(rel.interner) == 0
+
+
 def test_loads_of_the_same_rows_give_the_same_ids_and_tuples():
     rows = [(3, "b"), (1, "a"), (3, "a"), (1, "a")]
     dbs = [Database(), Database()]
@@ -457,7 +508,7 @@ def _trie_by_hand(rows):
 def _trie_nodes(node):
     if node is None:
         return None
-    return node.keys, node.cum, [_trie_nodes(c) for c in node.children]
+    return list(node.keys), list(node.cum), [_trie_nodes(c) for c in node.children]
 
 
 @settings(max_examples=150, deadline=None, database=None)
