@@ -35,6 +35,19 @@ the probes it makes. Plan.step_record builds it once per remaining set, so
 a step does only the data-dependent work (probes, draws, arithmetic). The
 bound-first indexes it probes are kept by the database, for every plan.
 
+WanderJoin, GJSample and DRS draw one candidate per step (k = 1), so their
+trial is a path, not a tree, and generic_card_est and uniform_sample run it
+as one loop over depths (_draws). Each depth reads its step record once;
+the strategy's _draw binds the drawn values into the trial's own binding in
+place and returns the step's probability and the next remaining set, or a
+miss. The estimate is the right fold v = leaf; v = (1/p) * v from the
+deepest draw up: the recursion's float operations, in its order, so a
+trial's value, ops and rng state are the recursion's. AlleyPlus branches k
+ways and keeps a recursion (_estimate) with a binding per branch, handing
+each node's record down. Every strategy's step(plan, remaining, s, rng) ->
+StepOutcome is a thin adapter over the same draw for callers that look at
+one step: it copies s and wraps the result.
+
 The driver turns trials into an (epsilon, delta) guarantee by Chebyshev with
 a geometric search on the assumed output size, or counts successes of the
 uniform sampler.
@@ -64,6 +77,8 @@ from .relations import View
 
 @dataclass
 class StepOutcome:
+    """What strategy.step returns: the attributes the step binds and its
+    draws. Trials do not build these; see _draws and _estimate."""
     attrs: tuple
     samples: list  # (fragment dict, probability, membership flag)
     k: int = 1
@@ -85,9 +100,12 @@ class Plan:
     the ones a trial reads, resolved once per plan.
 
     step_record(remaining) is the step at one depth of a trial: a _Step
-    memoised per remaining set, holding what a step reads that depends
-    only on the query and remaining. Records hold indexes but no degree,
-    value or table, so emptying _deg_cache leaves the plan cold.
+    memoised per remaining set in _steps, holding what a step reads that
+    depends only on the query and remaining. A trial reads one record per
+    depth and extends one binding in place (see _draws); a record names the
+    remaining set after its step (rest), so a trial never builds a set.
+    Records hold indexes but no degree, value or table, so emptying
+    _deg_cache leaves the plan cold.
 
     _deg_cache is the plan's step-table memo, keyed by a strategy tag ("gj"
     or "alley"), the attribute a and the values bound on the attributes of
@@ -212,7 +230,7 @@ class _Step:
 
     A step reads only its record and its binding s, which binds exactly the
     sampled attributes outside remaining: generic_card_est checks this
-    split, and _estimate and uniform_sample keep it through left.
+    split, and the trials keep it by stepping on to rest.
 
     attr, edges, near: the next attribute in the elimination order, the
     edges containing it (e_I order) and every attribute of those edges,
@@ -224,15 +242,19 @@ class _Step:
     prefixes: per index of draws, the attributes s binds, in its order.
     before, after: per edge, its degree probe (see _Walk) under s and once
     attr is bound, off its index of draws: attr directly follows the prefix.
-    left: remaining once a step bound a tuple of attributes, by that tuple:
-    (attr,), and wander's I once its record is built.
+    remaining, rest: the set the record steps on, and what remains once
+    attr is bound, where a DRS, GJ or alley step goes.
+    left: remaining once a step bound a tuple of attributes, by that tuple,
+    for callers of step, whose StepOutcome.attrs is the key: (attr,), and
+    wander's I once its record is built.
     walk: WanderJoin's record, built on first use.
     """
 
-    __slots__ = ("attr", "edges", "near", "terms", "draws", "prefixes", "before",
-                 "after", "left", "walk")
+    __slots__ = ("remaining", "attr", "edges", "near", "terms", "draws", "prefixes",
+                 "before", "after", "rest", "left", "walk")
 
     def __init__(self, plan, remaining):
+        self.remaining = remaining
         self.attr = a = plan.next_attr(remaining)
         self.edges = plan.e_I[a]
         self.near = tuple(dict.fromkeys(x for e in self.edges for x in e.attrs))
@@ -243,7 +265,8 @@ class _Step:
                               for idx in self.draws)
         self.before = tuple(zip(self.draws, self.prefixes))
         self.after = tuple((idx, prefix + (a,)) for idx, prefix in self.before)
-        self.left = {(a,): remaining - {a}}
+        self.rest = remaining - {a}
+        self.left = {(a,): self.rest}
         self.walk = None
 
     def projections(self, s):
@@ -281,7 +304,7 @@ class WanderJoin:
     fully bound before their turn were already membership-checked at the step
     that bound their last attribute.
 
-    The step reads its edge, its probes and their indexes off the step
+    The draw reads its edge, its probes and their indexes off the step
     record's _Walk (see _Step for the binding every record assumes).
     """
 
@@ -290,21 +313,37 @@ class WanderJoin:
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         rec = plan.step_record(remaining)
+        s = dict(s)
+        drawn = self._draw(plan, rec, s, rng)
+        return _outcome(rec.walk.I, s, drawn)
+
+    def _draw(self, plan, rec, s, rng):
+        """One row of the walk's edge bound into s: see _draws."""
         w = rec.walk
         if w is None:
-            w = rec.walk = _Walk(plan, remaining)
-            rec.left[w.I] = remaining - set(w.I)
-        base = _degree(plan, w.base, s)
+            w = rec.walk = _Walk(plan, rec.remaining)
+            rec.left[w.I] = w.rest
+        ops = plan.db.ops
+        values = [s[a] for a in w.prefix]
+        ops.n += 1
+        base = w.index._walk(values)[1]
         if base == 0:
-            return StepOutcome(w.I, [])
-        row, own = w.index._descend([s[a] for a in w.prefix], rng, w.depth)
-        frag = {a: row[i] for a, i in w.take}
-        s2 = {**s, **frag}
+            return _MISS
+        row, own = w.index._descend(values, rng, w.depth)
+        for a, i in w.take:
+            s[a] = row[i]
         if w.own is not None:
-            own = _degree(plan, w.own, s2)
-        p = own / base
-        member = all(_degree(plan, probe, s2) > 0 for probe in w.touching)
-        return StepOutcome(w.I, [(frag, p, member)])
+            own = _degree(plan, w.own, s)
+        # the other edges meeting I, up to the first without a row
+        rest = w.rest
+        probes = 0
+        for idx, prefix in w.touching:
+            probes += 1
+            if idx._walk([s[a] for a in prefix])[1] == 0:
+                rest = None
+                break
+        ops.n += probes
+        return own / base, rest
 
 
 class _Walk:
@@ -322,9 +361,11 @@ class _Walk:
     degree's probe.
     touching: the probes of the other edges meeting I, in eid order, once I
     is bound.
+    rest: remaining once I is bound.
     """
 
-    __slots__ = ("I", "base", "index", "prefix", "take", "depth", "own", "touching")
+    __slots__ = ("I", "base", "index", "prefix", "take", "depth", "own", "touching",
+                 "rest")
 
     def __init__(self, plan, remaining):
         edge = next(e for e in plan.query.edges if e.attr_set & remaining)
@@ -340,6 +381,7 @@ class _Walk:
         self.own = None if follows else _probe(plan, edge, bound)
         others = [e for e in plan.query.edges_touching(self.I) if e.eid != edge.eid]
         self.touching = tuple(_probe(plan, e, bound) for e in others)
+        self.rest = remaining - set(self.I)
 
 
 def _probe(plan, edge, bound):
@@ -353,6 +395,19 @@ def _degree(plan, probe, s) -> int:
     idx, prefix = probe
     plan.db.ops.n += 1
     return idx._walk([s[a] for a in prefix])[1]
+
+
+# a single-draw step that drew nothing: (probability, next remaining set)
+_MISS = (None, None)
+
+
+def _outcome(attrs, s, drawn) -> StepOutcome:
+    """The StepOutcome of a _draw that bound attrs into s and returned
+    drawn: (p, rest), rest None for a drawn non-member; _MISS for none."""
+    p, rest = drawn
+    if p is None:
+        return StepOutcome(attrs, [])
+    return StepOutcome(attrs, [({a: s[a] for a in attrs}, p, rest is not None)])
 
 
 class AlleyPlus:
@@ -379,17 +434,21 @@ class AlleyPlus:
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         rec = plan.step_record(remaining)
         a = rec.attr
+        chosen, p, k = self._branches(plan, rec, s, rng)
+        return StepOutcome((a,), [({a: c}, p, True) for c in chosen], k=k)
+
+    def _branches(self, plan, rec, s, rng):
+        """(the kept values of the record's attribute, each one's
+        probability 1/|Ω|, k): the k branches of _estimate's node."""
+        a = rec.attr
         omega, scan = plan.step_table(("alley", a, *map(s.get, rec.near)), a,
                                       lambda: _intersection(rec, s))
         plan.db.ops.n += scan
         n = len(omega)
         if n == 0:
-            return StepOutcome((a,), [])
+            return (), None, 1
         k = math.ceil(self.b * n)
-        chosen = omega if k == n else rng.sample(omega, k)
-        p = 1.0 / n
-        samples = [({a: c}, p, True) for c in chosen]
-        return StepOutcome((a,), samples, k=k)
+        return (omega if k == n else rng.sample(omega, k)), 1.0 / n, k
 
 
 def _intersection(rec, s):
@@ -467,6 +526,11 @@ class GJSample:
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         rec = plan.step_record(remaining)
+        s = dict(s)
+        return _outcome((rec.attr,), s, self._draw(plan, rec, s, rng))
+
+    def _draw(self, plan, rec, s, rng):
+        """One candidate of the table bound into s: see _draws."""
         a = rec.attr
         key = ("gj", a, *map(s.get, rec.near))
         cands, probs, cum, lookups, cost = plan.step_table(
@@ -474,11 +538,11 @@ class GJSample:
         plan.db.ops.n += cost
         u = rng.random()
         i = bisect.bisect_right(cum, u)   # the first candidate with u < acc
-        if i < len(cum):
-            c = cands[i]
-            member = all(lookup is None or lookup((c,)) > 0 for lookup in lookups)
-            return StepOutcome((a,), [({a: c}, probs[i], member)])
-        return StepOutcome((a,), [])  # failure symbol: leftover mass, or Ω empty
+        if i == len(cum):
+            return _MISS   # failure symbol: leftover mass, or Ω empty
+        c = s[a] = cands[i]
+        member = all(lookup is None or lookup((c,)) > 0 for lookup in lookups)
+        return probs[i], rec.rest if member else None
 
 
 def _gj_table(rec, s):
@@ -573,17 +637,24 @@ class DRS:
 
     def step(self, plan, remaining, s, rng) -> StepOutcome:
         rec = plan.step_record(remaining)
+        s = dict(s)
+        return _outcome((rec.attr,), s, self._draw(plan, rec, s, rng))
+
+    def _draw(self, plan, rec, s, rng):
+        """One row's value of attr, kept or thinned, bound into s: see _draws."""
         a = rec.attr
         ne = len(rec.edges)
         i = rng.randrange(ne)
-        deg1 = [_degree(plan, probe, s) for probe in rec.before]
-        idx, prefix = rec.draws[i], rec.prefixes[i]
+        ops = plan.db.ops
+        ops.n += ne
+        deg1 = [ix._walk([s[x] for x in px])[1] for ix, px in rec.before]
+        idx, prefix = rec.before[i]
         at = len(prefix)    # attr's place in the drawn row
         row, own = idx._descend([s[x] for x in prefix], rng, at + 1)
-        c = row[at]
-        s2 = {**s, a: c}
-        deg2 = [own if j == i else _degree(plan, probe, s2)
-                for j, probe in enumerate(rec.after)]
+        s[a] = row[at]
+        ops.n += ne - 1
+        deg2 = [own if j == i else ix._walk([s[x] for x in px])[1]
+                for j, (ix, px) in enumerate(rec.after)]
         # argmax of deg2/deg1 by exact cross-multiplication
         tied = [0]
         for j in range(1, ne):
@@ -596,7 +667,7 @@ class DRS:
                 tied.append(j)
         is_max = i in tied
         if self.boost != "any-edge" and not is_max:
-            return StepOutcome((a,), [])
+            return _MISS
         ratio = _ratio(rec.terms, deg1, deg2)
         lead = tied[0]
         rdeg_max = deg2[lead] / deg1[lead]
@@ -613,19 +684,22 @@ class DRS:
         else:  # any-edge
             rdeg_sum = sum(d2 / d1 for d1, d2 in zip(deg1, deg2))
             accept_p, p = keep, rdeg_sum * keep / ne
-        if rng.random() >= accept_p:
-            return StepOutcome((a,), [])
-        if p <= 0.0:
-            return StepOutcome((a,), [])
-        member = all(d > 0 for d in deg2)
-        return StepOutcome((a,), [({a: c}, p, member)])
+        if rng.random() >= accept_p or p <= 0.0:
+            return _MISS
+        return p, rec.rest if all(d > 0 for d in deg2) else None
 
 
 def generic_card_est(plan: Plan, strategy, remaining=None, s=None, rng=None) -> float:
     """Unbiased estimate of the distinct-answer count extending s.
 
     remaining (default: every sampled attribute) and the attributes s binds
-    must split the plan's sampled attributes; QueryError otherwise.
+    must split the plan's sampled attributes; QueryError otherwise. The
+    trial extends its own copy of s, never the caller's.
+
+    A single-draw strategy's trial is one pass of _draws: 0.0 at a miss,
+    else the right fold v = leaf_value; v = (1/p) * v over the draws'
+    probabilities from the deepest up, the float operations of _estimate's
+    recursion with k = 1. AlleyPlus runs _estimate.
     """
     if plan.empty:
         return 0.0
@@ -638,20 +712,52 @@ def generic_card_est(plan: Plan, strategy, remaining=None, s=None, rng=None) -> 
             f"remaining {sorted(remaining)} and binding {sorted(s)} must "
             f"split the sampled attributes {sorted(plan.sampled)}")
     rng = rng if rng is not None else random.Random()
-    return _estimate(plan, strategy, remaining, s, rng)
+    if isinstance(strategy, AlleyPlus):
+        rec = plan.step_record(remaining) if remaining else None
+        return _estimate(plan, strategy, rec, s, rng)
+    probs = _draws(plan, strategy, remaining, s, rng)
+    if probs is None:
+        return 0.0
+    v = plan.leaf_value(s)
+    for p in reversed(probs):
+        v = (1.0 / p) * v
+    return v
 
 
-def _estimate(plan, strategy, remaining, s, rng):
-    if not remaining:
+def _draws(plan, strategy, remaining, s, rng):
+    """One single-draw trial from remaining: each depth reads its step
+    record once, and strategy._draw binds the drawn values into s in place
+    and returns (p, rest): rest is the next remaining set, or None for a
+    drawn value that is not a member; _MISS when nothing was drawn. Returns
+    the draws' probabilities, root first, or None at the first miss, where
+    _estimate's recursion reads 0.0 (its fold of 0.0 with finite 1/p)."""
+    draw, steps = strategy._draw, plan._steps
+    probs = []
+    while remaining:
+        rec = steps.get(remaining) or plan.step_record(remaining)
+        p, remaining = draw(plan, rec, s, rng)
+        if remaining is None:
+            return None
+        probs.append(p)
+    return probs
+
+
+def _estimate(plan, alley, rec, s, rng):
+    """AlleyPlus's trial below the step record rec (None at the leaf): the
+    sum over its k branches of (1/p) times the estimate below, each branch
+    on its own binding, over k. A node's record is looked up once, by its
+    parent, and handed to every branch."""
+    if rec is None:
         return plan.leaf_value(s)
-    out = strategy.step(plan, remaining, s, rng)
-    sub = plan.step_record(remaining).left[out.attrs]
+    a = rec.attr
+    chosen, p, k = alley._branches(plan, rec, s, rng)
+    if not chosen:
+        return 0.0
+    sub = plan.step_record(rec.rest) if rec.rest else None
     total = 0.0
-    for frag, p, member in out.samples:
-        if not member:
-            continue
-        total += (1.0 / p) * _estimate(plan, strategy, sub, {**s, **frag}, rng)
-    return total / out.k
+    for c in chosen:
+        total += (1.0 / p) * _estimate(plan, alley, sub, {**s, a: c}, rng)
+    return total / k
 
 
 def uniform_sample(plan: Plan, strategy, rng):
@@ -659,23 +765,14 @@ def uniform_sample(plan: Plan, strategy, rng):
 
     Conditional on success the answer is uniform: every answer is reached
     with the same probability (1/AGM for the table strategy, times the
-    edge-choice factor for the rejection strategy).
+    edge-choice factor for the rejection strategy). The attempt is one pass
+    of _draws, whose binding is the answer.
     """
     _check_uniform(plan, strategy)
     if plan.empty:
         return None
-    remaining = plan.sampled
     s = {}
-    while remaining:
-        out = strategy.step(plan, remaining, s, rng)
-        if not out.samples:
-            return None
-        frag, _, member = out.samples[0]
-        if not member:
-            return None
-        s.update(frag)
-        remaining = plan.step_record(remaining).left[out.attrs]
-    return s
+    return None if _draws(plan, strategy, plan.sampled, s, rng) is None else s
 
 
 def _check_uniform(plan: Plan, strategy) -> None:

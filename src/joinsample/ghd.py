@@ -153,20 +153,25 @@ def enumerate_ghds(query: Hypergraph) -> list:
 
 
 def rho_star(attrs, query: Hypergraph) -> Fraction:
-    """Unweighted fractional edge cover number of the bag.
+    """Unweighted fractional edge cover number of the bag, solved once per
+    query: the query keeps it in `rho_stars`, so fhtw, choose_ghd and the
+    CLI's bag table share each solve.
 
     Only the maximal edge projections onto the bag enter the cover LP: with
     unit sizes, weight on a projection contained in another covers no more
     than the same weight moved to the larger one.
     """
     attrs = frozenset(attrs)
-    inters = {e.attr_set & attrs: e.relation for e in query.edges if e.attr_set & attrs}
-    edges = [(tuple(sorted(i)), rel) for i, rel in inters.items()
-             if not any(i < j for j in inters)]
-    sub = Hypergraph(sorted(attrs), edges)
-    sizes = {e.eid: 2 for e in sub.edges}  # constant sizes: objective = sum of x
-    cover = fractional_edge_cover(sub, sizes)
-    return cover.rho()
+    rho = query.rho_stars.get(attrs)
+    if rho is None:
+        inters = {e.attr_set & attrs: e.relation
+                  for e in query.edges if e.attr_set & attrs}
+        edges = [(tuple(sorted(i)), rel) for i, rel in inters.items()
+                 if not any(i < j for j in inters)]
+        sub = Hypergraph(sorted(attrs), edges)
+        sizes = {e.eid: 2 for e in sub.edges}  # constant sizes: objective = sum of x
+        rho = query.rho_stars[attrs] = fractional_edge_cover(sub, sizes).rho()
+    return rho
 
 
 def width(ghd: GHD, query: Hypergraph) -> Fraction:
@@ -174,14 +179,9 @@ def width(ghd: GHD, query: Hypergraph) -> Fraction:
 
 
 def _widths(query: Hypergraph):
-    """(width, ghd) for every enumerated decomposition, each distinct bag's
-    rho* computed once."""
-    rho = {}
+    """(width, ghd) for every enumerated decomposition."""
     for ghd in enumerate_ghds(query):
-        for b in ghd.bags:
-            if b not in rho:
-                rho[b] = rho_star(b, query)
-        yield max(rho[b] for b in ghd.bags), ghd
+        yield width(ghd, query), ghd
 
 
 def fhtw(query: Hypergraph):

@@ -78,6 +78,7 @@ class Hypergraph:
         missing = set(self.attributes) - covered
         if missing:
             raise QueryError(f"attributes {sorted(missing)} appear in no edge")
+        self.rho_stars: dict = {}  # bag -> rho*, see ghd.rho_star
 
     def edges_touching(self, attrs):
         """ℰ_I: edges intersecting the attribute set."""

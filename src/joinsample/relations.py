@@ -265,23 +265,28 @@ class TrieIndex:
         The count is |R ⋉ out| when depth is None. Given a depth at least
         len(out), it is the rows under the drawn row's first `depth` values,
         which the descent passes on its way down, so it stands for a degree
-        probe of that prefix and charges the probe's op too: two in all."""
+        probe of that prefix and charges the probe's op too: two in all.
+
+        Each level draws with rng._randbelow(n), resolved once per descent:
+        it is what rng.randrange(n) calls for n > 0 on Python 3.10 to 3.13,
+        and every node under a present prefix holds n > 0 rows."""
         self._charge()
         node, count = self._walk(out)
         if count == 0:
             raise EmptySemijoinError(
                 f"empty semijoin under {dict(zip(self.order, out))}")
+        below = rng._randbelow
         if depth is not None:
             self._charge()
             for _ in range(depth - len(out)):
                 cum = node.cum
-                i = bisect.bisect_right(cum, rng.randrange(cum[-1])) - 1
+                i = bisect.bisect_right(cum, below(cum[-1])) - 1
                 out.append(node.keys[i])
                 count = cum[i + 1] - cum[i]
                 node = node.children[i]
         while node is not None:
-            x = rng.randrange(node.cum[-1])
-            i = bisect.bisect_right(node.cum, x) - 1
+            cum = node.cum
+            i = bisect.bisect_right(cum, below(cum[-1])) - 1
             out.append(node.keys[i])
             node = node.children[i]
         return tuple(out), count

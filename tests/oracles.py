@@ -332,3 +332,24 @@ def intern_by_row(ids, rows):
     for v in sorted(fresh, key=lambda v: (type(v).__name__, v)):
         ids[v] = len(ids)
     return [tuple(ids[v] for v in row) for row in rows]
+
+
+def step_sampler(plan, step, rng):
+    """estimators.uniform_sample as a loop over StepOutcomes, as it was
+    before trials extended one binding in place: `step(plan, remaining, s,
+    rng)` returns a StepOutcome, a miss or a non-member ends the attempt
+    with None, and each drawn fragment makes a new binding and a new
+    remaining set. The full binding on success."""
+    if plan.empty:
+        return None
+    remaining, s = plan.sampled, {}
+    while remaining:
+        out = step(plan, remaining, s, rng)
+        if not out.samples:
+            return None
+        frag, _, member = out.samples[0]
+        if not member:
+            return None
+        s = {**s, **frag}
+        remaining = remaining - set(out.attrs)
+    return s

@@ -97,6 +97,33 @@ def test_search_pins(name):
     assert width(chosen, hq) == w
 
 
+@pytest.mark.parametrize("name", ["cycle4", "sym-5cyc", "k4", "sym-mixed"])
+def test_fhtw_and_choose_ghd_solve_each_distinct_bag_once(name, monkeypatch):
+    # rho* of a bag is solved once per query, whoever asks: fhtw, then
+    # choose_ghd, then the CLI's bag table all read the query's memo
+    import joinsample.ghd as ghd_module
+
+    solved = []
+
+    def spy(query, sizes):
+        solved.append(frozenset(query.attributes))
+        return fractional_edge_cover(query, sizes)
+
+    monkeypatch.setattr(ghd_module, "fractional_edge_cover", spy)
+    db, query, _ = build(name)
+    hq = query.hypergraph
+    w, _ = fhtw(hq)
+    chosen = choose_ghd(db, hq)
+    bags = {b for g in enumerate_ghds(hq) for b in g.bags}
+    assert len(solved) == len(set(solved)) == len(bags)
+    assert set(solved) == bags
+    assert max(rho_star(b, hq) for b in chosen.bags) == w
+    assert len(solved) == len(bags)   # the bag table solved nothing new
+    # a new query object holds no solves
+    rho_star(chosen.bags[0], build(name)[1].hypergraph)
+    assert len(solved) == len(bags) + 1
+
+
 def test_searched_ghd_estimate_pins():
     for name, want in (("cycle4", "24.666666666666668"),
                        ("sym-tri", "181.01933598375618")):
