@@ -132,6 +132,79 @@ def test_searched_ghd_estimate_pins():
         assert repr(got) == want, name
 
 
+# repr of ghd_card_est(seed=7) and the ops it charged on a fresh database,
+# at budgets 1 and 3, for every decomposition enumerate_ghds yields
+ESTIMATE_PINS = {
+    ('tri-skew', 'ABC |'): (('0.0', 74), ('0.0', 161)),
+    ('path3', 'AB BC CD | AB-BC BC-CD'): (('62.0', 76), ('62.0', 76)),
+    ('path3', 'AB BCD | AB-BCD'): (('60.0', 144), ('88.0', 310)),
+    ('path3', 'ABC CD | ABC-CD'): (('96.0', 177), ('72.0', 397)),
+    ('path3', 'ABC ACD | ABC-ACD'): (('71.0', 513), ('75.0', 1335)),
+    ('path3', 'ABD BCD | ABD-BCD'): (('68.0', 524), ('62.66666666666667', 1388)),
+    ('ternary', 'ABC BCD | ABC-BCD'): (('16.0', 68), ('16.0', 68)),
+    ('ternary', 'ABCD |'): (('0.0', 60), ('0.0', 109)),
+    ('cycle4', 'ABD BCD | ABD-BCD'): (('34.0', 640), ('27.777777777777775', 1676)),
+    ('cycle4', 'ABC ACD | ABC-ACD'): (('20.0', 592), ('24.666666666666668', 1532)),
+    ('skew-pair', 'ABC |'): (('0.0', 23), ('8.33333333333333', 65)),
+    ('skew-pair', 'AB AC | AB-AC'): (('11.0', 20), ('11.0', 20)),
+    ('selfjoin-tri', 'ABC |'): (('41.569219381653056', 81), ('41.569219381653056', 168)),
+    ('empty-tri', 'ABC |'): (('0.0', 3), ('0.0', 3)),
+    ('sym-tri', 'ABC |'): (('181.01933598375618', 156), ('181.01933598375618', 276)),
+    ('sym-5cyc', 'ABF BCF CDF | ABF-BCF BCF-CDF'): (('1994.0', 2078), ('2431.555555555556', 5262)),
+    ('sym-5cyc', 'ABF BCD BDF | ABF-BDF BCD-BDF'): (('2388.0', 2112), ('2346.444444444445', 5296)),
+    ('sym-5cyc', 'ABC ACF CDF | ABC-ACF ACF-CDF'): (('1970.0', 2078), ('2424.0000000000005', 5262)),
+    ('sym-5cyc', 'ABC ACD ADF | ABC-ACD ACD-ADF'): (('1652.0', 2112), ('2232.111111111111', 5296)),
+    ('sym-5cyc', 'ABD ADF BCD | ABD-ADF ABD-BCD'): (('1986.0', 2078), ('2284.444444444444', 5262)),
+    ('star3', 'HUVW |'): (('0.0', 37), ('83.99999999999999', 89)),
+    ('star3', 'HU HVW | HU-HVW'): (('15.0', 68), ('15.0', 132)),
+    ('star3', 'HU HV HW | HU-HW HV-HW'): (('15.0', 38), ('15.0', 38)),
+    ('star3', 'HU HV HW | HU-HV HU-HW'): (('15.0', 38), ('15.0', 38)),
+    ('star3', 'HU HV HW | HU-HV HV-HW'): (('15.0', 38), ('15.0', 38)),
+    ('star3', 'HUW HV | HUW-HV'): (('15.0', 72), ('15.0', 148)),
+    ('star3', 'HUV HW | HUV-HW'): (('15.0', 68), ('15.0', 136)),
+    ('star2', 'HUV |'): (('0.0', 29), ('14.0', 71)),
+    ('star2', 'HU HV | HU-HV'): (('10.0', 26), ('10.0', 26)),
+    ('sym-mixed', 'ABC HUV | ABC-HUV'): (('0.0', 185), ('0.0', 337)),
+    ('sym-mixed', 'ABC HU HV | ABC-HV HU-HV'): (('1810.1933598375615', 185), ('1206.795573225041', 299)),
+    ('sym-mixed', 'ABC HU HV | ABC-HU HU-HV'): (('1810.1933598375615', 185), ('1206.795573225041', 299)),
+    ('k4', 'ABCD |'): (('1024.0', 308), ('682.6666666666666', 520)),
+    ('proj-threecomp', 'AB BC DE | AB-BC BC-DE'): (('192.0', 56), ('192.0', 56)),
+    ('proj-threecomp', 'AB BC DE | AB-BC AB-DE'): (('192.0', 56), ('192.0', 56)),
+    ('proj-threecomp', 'ABC DE | ABC-DE'): (('0.0', 51), ('240.0', 105)),
+    ('proj-path', 'AB BC CD | AB-BC BC-CD'): (('62.0', 76), ('62.0', 76)),
+    ('proj-path', 'AB BCD | AB-BCD'): (('60.0', 144), ('88.0', 310)),
+    ('proj-path', 'ABC CD | ABC-CD'): (('96.0', 177), ('72.0', 397)),
+    ('proj-path', 'ABC ACD | ABC-ACD'): (('71.0', 513), ('75.0', 1335)),
+    ('proj-path', 'ABD BCD | ABD-BCD'): (('68.0', 524), ('62.66666666666667', 1388)),
+    ('proj-fulltri', 'ABC |'): (('0.0', 74), ('0.0', 161)),
+    ('proj-inside', 'AB BC | AB-BC'): (('21.0', 36), ('21.0', 36)),
+    ('proj-inside', 'ABC |'): (('0.0', 41), ('0.0', 84)),
+    ('proj-star', 'HUVW |'): (('0.0', 37), ('83.99999999999999', 89)),
+    ('proj-star', 'HU HVW | HU-HVW'): (('15.0', 68), ('15.0', 132)),
+    ('proj-star', 'HU HV HW | HU-HW HV-HW'): (('15.0', 38), ('15.0', 38)),
+    ('proj-star', 'HU HV HW | HU-HV HU-HW'): (('15.0', 38), ('15.0', 38)),
+    ('proj-star', 'HU HV HW | HU-HV HV-HW'): (('15.0', 38), ('15.0', 38)),
+    ('proj-star', 'HUW HV | HUW-HV'): (('15.0', 72), ('15.0', 148)),
+    ('proj-star', 'HUV HW | HUV-HW'): (('15.0', 68), ('15.0', 136)),
+}
+
+
+def test_ghd_estimate_pins_on_every_decomposition():
+    seen = set()
+    for name in CORPUS:
+        for g in enumerate_ghds(build(name)[1].hypergraph):
+            key = (name, _sig_text(g))
+            seen.add(key)
+            got = []
+            for budget in (1, 3):
+                db, query, _ = build(name)
+                ops0 = db.ops.n
+                value = ghd_card_est(db, query.hypergraph, ghd=g, budget=budget, seed=7)
+                got.append((repr(value), db.ops.n - ops0))
+            assert tuple(got) == ESTIMATE_PINS[key], key
+    assert seen == set(ESTIMATE_PINS)
+
+
 @st.composite
 def _hypergraphs(draw):
     attrs = "ABCDEF"[:draw(st.integers(1, 6))]
