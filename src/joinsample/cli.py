@@ -55,7 +55,7 @@ def _load_inputs(args):
         path = os.path.join(db_dir, fname)
         try:
             load_relation_file(db, path)
-        except (OSError, SchemaError) as exc:
+        except (OSError, UnicodeDecodeError, SchemaError) as exc:
             raise CliError(EXIT_LOAD, f"{path}: {exc}")
         with open(path, "rb") as fh:
             hasher.update(fname.encode())
@@ -66,9 +66,7 @@ def _load_inputs(args):
         query = load_query_file(args.query)
         with open(args.query, "rb") as fh:
             hasher.update(fh.read())
-    except OSError as exc:
-        raise CliError(EXIT_LOAD, f"{args.query}: {exc}")
-    except QueryError as exc:
+    except (OSError, UnicodeDecodeError, QueryError) as exc:
         raise CliError(EXIT_LOAD, f"{args.query}: {exc}")
     validate(query.hypergraph, db)
     return db, query, hasher.hexdigest()

@@ -40,18 +40,13 @@ class ProjectionPlan:
         self.out = out
         oset = frozenset(out)
 
-        proj_edges = [(e.attrs, e.relation) for e in node_query(db, hq, oset).edges]
-
-        # the projected query's primal graph, split into connected parts
-        adj = {a: set() for a in out}
-        for attrs, _ in proj_edges:
-            for a in attrs:
-                adj[a].update(attrs)
+        projected = node_query(db, hq, oset)
+        proj_edges = [(e.attrs, e.relation) for e in projected.edges]
 
         self.parts = []
         self.p0 = 1.0
         self.empty = False
-        for comp in connected_parts(out, adj):
+        for comp in connected_parts(out, projected.primal_neighbors()):
             edges_c = [pe for pe in proj_edges if set(pe[0]) <= comp]
             sub = Hypergraph(sorted(comp), edges_c)
             plan = Plan(db, sub)

@@ -9,7 +9,9 @@ shared with other bags whose annotations count the node answers extending
 the key. Tables combine bottom-up by marginalize-then-join.
 
 Annotations come from three sources:
-  - exact group counts when one edge covers the whole bag (no sampling),
+  - exact group counts when one edge covers the whole bag: its projection
+    less the rows another edge inside the bag lacks, so each node enforces
+    the edges inside its bag and none relies on another node to do so,
   - sampled estimates (any strategy from estimators) otherwise,
   - plain enumeration for the width computation, which never touches data:
     node width is the unweighted fractional edge cover number of the bag.
@@ -89,7 +91,11 @@ class GHD:
 
 
 def check_ghd(query: Hypergraph, ghd: GHD) -> None:
-    """Raise unless every edge fits in a bag and subtrees are connected."""
+    """Raise unless every bag is a nonempty set of query attributes, every
+    edge fits in a bag and subtrees are connected."""
+    for i, b in enumerate(ghd.bags):
+        if not b or b - set(query.attributes):
+            raise QueryError(f"bag {i} {sorted(b)} is not a nonempty set of query attributes")
     for e in query.edges:
         if not any(e.attr_set <= b for b in ghd.bags):
             raise QueryError(f"edge {e.eid} {tuple(e.attrs)} fits in no bag")
@@ -97,8 +103,7 @@ def check_ghd(query: Hypergraph, ghd: GHD) -> None:
         holding = {i for i, b in enumerate(ghd.bags) if a in b}
         if len(connected_parts(holding, ghd.adj)) > 1:
             raise QueryError(f"attribute {a} spans a disconnected set of bags")
-    covered = set().union(*ghd.bags) if ghd.bags else set()
-    if set(query.attributes) - covered:
+    if set(query.attributes) - set().union(*ghd.bags):
         raise QueryError("bags do not cover every attribute")
 
 
@@ -332,57 +337,25 @@ def simple_aggro_yannakakis(ghd: GHD, tables) -> float:
     raise AssertionError("tree had no root")
 
 
-def _shortcut_nodes(query: Hypergraph, ghd: GHD) -> dict:
-    """Nodes where one edge covers the bag, with the chosen edge: one whose
-    attributes equal the bag if any does, else the least eid.
-
-    Dropping the other projections there is sound only if every edge fully
-    inside the bag is still enforced at another node: one that samples, or
-    one that chose that very edge. Offenders lose the shortcut iteratively.
-    """
-    chosen = {}
-    for t, bag in enumerate(ghd.bags):
-        covering = [e for e in query.edges if bag <= e.attr_set]
-        if covering:
-            chosen[t] = min(covering, key=lambda e: (e.attr_set != bag, e.eid))
-    while True:
-        demote = None
-        for t in sorted(chosen):
-            bag = ghd.bags[t]
-            for e in query.edges:
-                if not (e.attr_set <= bag) or e.eid == chosen[t].eid:
-                    continue
-                enforced = False
-                for t2, bag2 in enumerate(ghd.bags):
-                    if t2 == t or not (e.attr_set <= bag2):
-                        continue
-                    if t2 not in chosen or chosen[t2].eid == e.eid:
-                        enforced = True
-                        break
-                if not enforced:
-                    demote = t
-                    break
-            if demote is not None:
-                break
-        if demote is None:
-            return chosen
-        del chosen[demote]
-
-
-def _shortcut_table(db, query, ghd, t, edge) -> tuple:
-    """Exact annotations from the single covering edge: group the dedup'd
-    bag projection by the shared attributes and count."""
-    bag = ghd.bags[t]
-    name = project_relation(db, edge, bag)
-    rel = db.relation(name)
-    G = tuple(sorted(ghd.shared_attrs(t)))
+def _exact_table(db, query, bag, G, edge) -> dict:
+    """Exact annotations where `edge` covers the bag: its deduplicated bag
+    projection, less each row that another edge inside the bag does not
+    hold, counted per key over the shared attributes G."""
+    rel = db.relation(project_relation(db, edge, bag))
+    rows = set(rel.tuples)
+    for e in query.edges:
+        if e is not edge and e.attr_set <= bag:
+            inside = db.relation(project_relation(db, e, bag))
+            idxs = [rel.schema.index(a) for a in inside.schema]
+            held = set(inside.tuples)
+            rows = [row for row in rows if tuple(row[i] for i in idxs) in held]
     idxs = [rel.schema.index(a) for a in G]
     table = {}
-    for row in set(rel.tuples):
+    for row in rows:
         key = tuple(row[i] for i in idxs)
         table[key] = table.get(key, 0.0) + 1.0
     db.ops.add(len(rel))
-    return G, table
+    return table
 
 
 def ghd_card_est(db, query: Hypergraph, ghd: GHD = None, strategy=None,
@@ -390,8 +363,9 @@ def ghd_card_est(db, query: Hypergraph, ghd: GHD = None, strategy=None,
     """Unbiased count estimate through a decomposition.
 
     Per node: exact keys over the shared attributes; annotations are exact
-    when a single edge covers the bag (where sound), sampled otherwise.
-    With a join tree (all bags single-edge) the result is the exact count.
+    when one edge covers the bag (filtered by each other edge inside it),
+    sampled otherwise. When edges cover every bag, as in a join tree, the
+    result is the exact count.
     """
     validate(query, db)
     if ghd is None:
@@ -399,15 +373,15 @@ def ghd_card_est(db, query: Hypergraph, ghd: GHD = None, strategy=None,
     else:
         check_ghd(query, ghd)
     strategy = strategy or GJSample()
-    shortcuts = _shortcut_nodes(query, ghd)
     tables = {}
     for t, bag in enumerate(ghd.bags):
-        if t in shortcuts:
-            tables[t] = _shortcut_table(db, query, ghd, t, shortcuts[t])
-            continue
-        nq = node_query(db, query, bag)
         G = tuple(sorted(ghd.shared_attrs(t)))
-        table = group_by_card_est(db, nq, G, strategy, budget,
-                                  seed=seed, stream=f"node{t}")
+        covering = [e for e in query.edges if bag <= e.attr_set]
+        if covering:
+            edge = min(covering, key=lambda e: (e.attr_set != bag, e.eid))
+            table = _exact_table(db, query, bag, G, edge)
+        else:
+            table = group_by_card_est(db, node_query(db, query, bag), G, strategy,
+                                      budget, seed=seed, stream=f"node{t}")
         tables[t] = (G, table)
     return simple_aggro_yannakakis(ghd, tables)

@@ -177,6 +177,21 @@ def test_ghd_tree_with_a_cycle_is_rejected(tmp_path, capsys):
     assert "needs 2 edges, got 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bags", [[["A", "B", "C"], []], [["A", "B", "C"], ["C", "Z"]]])
+def test_ghd_with_an_empty_or_foreign_bag_is_rejected(tmp_path, capsys, bags):
+    raw, _ = CORPUS["tri-skew"]()
+    qdoc = {"attributes": ["A", "B", "C"],
+            "edges": [{"relation": "R", "vars": ["A", "B"]},
+                      {"relation": "S", "vars": ["B", "C"]},
+                      {"relation": "T", "vars": ["A", "C"]}],
+            "ghd": {"bags": bags, "edges": [[0, 1]]}}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    for argv in ([], ["--estimate"]):
+        assert main(["ghd", dbdir, qpath, *argv]) == 4
+        err = capsys.readouterr().err
+        assert f"supplied ghd rejected: bag 1 {sorted(bags[1])}" in err
+
+
 def test_ghd_estimate_enforces_an_edge_inside_a_covering_one(tmp_path, capsys):
     raw = {"F": (("A", "B", "C"), [(1, 1, 1), (1, 2, 1), (2, 2, 2)]),
            "E": (("A", "B"), [(1, 1)])}
@@ -293,6 +308,23 @@ def test_exit_code_load_errors(tmp_path, capsys):
     for cmd in ("join", "ghd", "estimate"):
         assert main([cmd, dbdir, str(emptyq)]) == 3
         assert "no edges" in capsys.readouterr().err
+
+
+def test_a_rel_file_that_is_not_utf8_is_a_load_error(tmp_path, capsys):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    (tmp_path / "db" / "R.rel").write_bytes(b"R:A,B\n1,\xff\n")
+    capsys.readouterr()
+    assert main(["join", dbdir, qpath]) == 3
+    assert "R.rel" in capsys.readouterr().err
+
+
+def test_a_query_file_that_is_not_utf8_is_a_load_error(tmp_path, capsys):
+    dbdir, qpath = _fixture_inputs(tmp_path, "skew-pair")
+    badq = tmp_path / "latin1.json"
+    badq.write_bytes(b'{"attributes": ["\xff"], "edges": []}')
+    capsys.readouterr()
+    assert main(["join", dbdir, str(badq)]) == 3
+    assert "latin1.json" in capsys.readouterr().err
 
 
 def test_exit_code_relation_name_declared_twice(tmp_path, capsys):

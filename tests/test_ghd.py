@@ -316,6 +316,30 @@ def test_join_trees_with_nested_edges_count_exactly(rnd, sub, repeat):
     assert ghd_card_est(db, hq, ghd=g, budget=1, seed=rnd.randrange(9)) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["AB", "BC", "AC", "A", "B", "C"]), st.sampled_from("ABC"),
+       st.integers(0, 99))
+def test_covered_bags_count_exactly_in_every_decomposition(rnd, sub, hook, seed):
+    # E lies inside R, and S and T hang off R as a path. In every
+    # decomposition where some edge covers each bag, every node counts
+    # exactly, also where the only bag holding E is R's
+    def rows(arity):
+        return [tuple(rnd.randrange(3) for _ in range(arity))
+                for _ in range(rnd.randrange(1, 12))]
+
+    raw = {"R": (("A", "B", "C"), rows(3)), "E": (tuple(sub), rows(len(sub))),
+           "S": ((hook, "D"), rows(2)), "T": (("D", "F"), rows(2))}
+    edges = [(name, schema) for name, (schema, _) in raw.items()]
+    db, hq = _loaded(raw, edges)
+    want = float(oracles.distinct_count(raw, edges))
+    covered = [g for g in enumerate_ghds(hq)
+               if all(any(b <= e.attr_set for e in hq.edges) for b in g.bags)]
+    assert covered
+    for g in covered:
+        assert ghd_card_est(db, hq, ghd=g, budget=1, seed=seed) == want, _sig_text(g)
+
+
 def test_two_node_ghd_unbiased_smoke():
     db, query, _ = build("cycle4")
     hq = query.hypergraph
