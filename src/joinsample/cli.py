@@ -238,7 +238,11 @@ def _user_ghd(query) -> GHD:
     bags, edges, root = doc.get("bags"), doc.get("edges", []), doc.get("root", 0)
     if not isinstance(bags, list):
         raise QueryError(f"ghd bags must be an array of arrays of strings: {bags!r}")
-    bags = [frozenset(_names(b, f"ghd bag {i}")) for i, b in enumerate(bags)]
+    bags = [_names(b, f"ghd bag {i}") for i, b in enumerate(bags)]
+    for i, b in enumerate(bags):
+        if len(set(b)) != len(b):
+            raise QueryError(f"ghd bag {i} {list(b)} repeats an attribute")
+    bags = list(map(frozenset, bags))
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int
             for e in edges):

@@ -29,6 +29,15 @@ record (_Star, _Cycle) and the cross edges' probes hold indexes and degree
 probes (estimators._probe) only, never a degree or a value, so emptying
 _inc leaves it cold. A drawn row's multiplicity is counted by the descent
 that drew it (TrieIndex._descend with a depth).
+
+A trial is one pass over the components' records, each binding its draws
+into the trial's one assignment, on which SSTE then probes the cross
+edges; SUST's attempt returns that assignment. A star's center draw is a
+row of its first edge. When the center leads that row's index, the descent
+holds the node under the center (TrieIndex._descend's hold): its row count
+is the first spoke's degree, and the first spoke's row is drawn from it
+(_descend's start), so the center is walked to once. Every other spoke
+walks once for its degree and draws from the node it reached.
 """
 
 from __future__ import annotations
@@ -54,18 +63,25 @@ class Component:
 
 
 class _Star:
-    """A star's resolved draws. roots: per edge, the index with nothing
-    bound, which draws a row of the whole relation; center: the center's
-    place in roots[0]'s order. spokes: per edge, its degree probe under the
-    center alone, whose index draws the spoke's row."""
+    """A star's resolved draws; every edge is binary (half_integral_cover).
+    attr: the center. roots: per edge, the index with nothing bound, which
+    draws a row of the whole relation; center: the center's place in
+    roots[0]'s order. spokes: per edge, (its index bound on the center,
+    whose order is (center, leaf), which draws the spoke's row; the leaf).
+    shared: the center leads roots[0]'s order and spokes[0] reads the same
+    trie, so SSTE's center draw passes the node under the center, whose row
+    count is the first spoke's degree and from which the first spoke's row
+    is drawn, with no walk."""
 
-    __slots__ = ("roots", "center", "spokes")
+    __slots__ = ("attr", "roots", "center", "spokes", "shared")
 
     def __init__(self, plan, comp):
-        center = comp.attrs[0]
+        self.attr = center = comp.attrs[0]
         self.roots = tuple(bound_first_index(plan.db, e, ()) for e in comp.edges)
         self.center = self.roots[0].order.index(center)
-        self.spokes = tuple(_probe(plan, e, (center,)) for e in comp.edges)
+        spokes = [bound_first_index(plan.db, e, (center,)) for e in comp.edges]
+        self.spokes = tuple((idx, idx.order[1]) for idx in spokes)
+        self.shared = self.center == 0 and spokes[0].root is self.roots[0].root
 
 
 class _Cycle:
@@ -148,7 +164,7 @@ class ComponentPlan:
         """Rows of the relation carrying the value in either column."""
         key = (relname, value)
         hit = self._inc.get(key)
-        self.db.ops.add(1)
+        self.db.ops.n += 1
         if hit is not None:
             return hit
         # symmetric precondition makes both columns agree
@@ -212,31 +228,31 @@ def _canonical_weight(cplan, relname, vals):
     return images[0] == min(images), len(set(images))
 
 
-def _draw_row(idx, rng):
-    """A uniform row of idx's relation as an assignment, and the row's
-    multiplicity, which the descent counts: two ops, the draw's and the
-    multiplicity probe's."""
+def _draw_row(idx, rng, a):
+    """Bind a uniform row of idx's relation into the assignment a; returns
+    the row's multiplicity, which the descent counts: two ops, the draw's
+    and the multiplicity probe's."""
     row, mult = idx._descend([], rng, len(idx.order))
-    return dict(zip(idx.order, row)), mult
+    a.update(zip(idx.order, row))
+    return mult
 
 
-def _cycle_start(cplan, comp, rng, canonical):
+def _cycle_start(cplan, comp, rng, canonical, a=None):
     """The cycle walk up to its last vertex, shared by SSTE and SUST.
 
     Draw rows of the (L-1)/2 alternate edges (edges[2j] joins seq[2j],
     seq[2j+1]), drop the draw when canonical and seq[0]'s kappa is not the
     least of the drawn vertices, then check the stitching edges
-    edges[2j-1]. Returns (assignment of seq[:L-1], 1/P of the rows) or None.
+    edges[2j-1]. Binds seq[:L-1] into a (a fresh dict when None) and
+    returns (a, 1/P of the rows), or None.
     """
     seq, rec = comp.attrs, comp.rec
     relname = comp.edges[0].relation
     nrel = len(cplan.db.relation(relname))
-    a = {}
+    a = {} if a is None else a
     inv_p = 1.0
     for idx in rec.roots:
-        frag, mult = _draw_row(idx, rng)
-        a.update(frag)
-        inv_p *= nrel / mult
+        inv_p *= nrel / _draw_row(idx, rng, a)
     if canonical:
         k0 = cplan.kappa(relname, a[seq[0]])
         if any(cplan.kappa(relname, a[v]) < k0 for v in seq[1: 2 * len(rec.roots)]):
@@ -255,32 +271,32 @@ def _back_view(cplan, comp, a):
     idx._charge()
     view = View(idx, idx._walk((a[comp.attrs[0]],))[0], (comp.attrs[-1],))
     no = view.size()
-    cplan.db.ops.add(max(1, no))
+    cplan.db.ops.n += max(1, no)
     return view, no
 
 
-def _cycle_trial_sste(cplan, comp, rng, canonical=True):
-    """One estimate of the cycle component's distinct-answer count.
+def _cycle_sste(cplan, comp, a, rng, canonical, kept=None):
+    """One estimate of the cycle component's distinct-answer count, its
+    draws bound into a; 0.0 when the walk finds no closed cycle.
 
     After _cycle_start, batch-sample the last vertex from the back view and
     score each closed canonical cycle by its orbit size. canonical=False
     (fallback regime) draws a single last vertex and skips the kappa
-    machinery; the caller checks cross edges on the assignment.
-    Returns (weight, [assignments]) with weight already including 1/P.
+    machinery; the caller checks cross edges on a. kept, when given,
+    collects a copy of a for each cycle scored.
     """
-    start = _cycle_start(cplan, comp, rng, canonical)
+    start = _cycle_start(cplan, comp, rng, canonical, a)
     if start is None:
-        return 0.0, []
-    a, inv_p = start
+        return 0.0
+    inv_p = start[1]
     view, no = _back_view(cplan, comp, a)
     if no == 0:
-        return 0.0, []
+        return 0.0
     seq, relname = comp.attrs, comp.edges[0].relation
     k = 1
     if canonical:
         k = max(1, math.ceil(no / math.sqrt(len(cplan.db.relation(relname)))))
     total = 0.0
-    kept = []
     for _ in range(k):
         (a[seq[-1]],) = view.sample(rng)
         if _degree(cplan.plan, comp.rec.close, a) == 0:   # joins seq[L-2], w
@@ -291,56 +307,95 @@ def _cycle_trial_sste(cplan, comp, rng, canonical=True):
             if not is_c:
                 continue
         total += orbit
-        kept.append(dict(a))
-    return inv_p * no * total / k, kept
+        if kept is not None:
+            kept.append(dict(a))
+    return inv_p * no * total / k
+
+
+def _cycle_trial_sste(cplan, comp, rng, canonical=True):
+    """_cycle_sste on an assignment of its own: (weight, [assignments
+    scored]), the weight already including 1/P."""
+    kept = []
+    return _cycle_sste(cplan, comp, {}, rng, canonical, kept), kept
+
+
+def _star_sste(ops, rec, a, rng):
+    """Bind a star's center and one row per spoke into a; returns 1/P of
+    the draws, or 0.0 when a spoke has no row under the center.
+
+    The center is a degree-weighted draw: a row of roots[0], of which the
+    center is kept. When rec.shared, that descent holds the node under the
+    center, whose row count is the first spoke's degree, and the first
+    spoke's row is drawn from it; otherwise the first spoke walks to the
+    center once. Every other spoke walks once, for its degree and its draw.
+    The meter reads as if each probe walked on its own: 2 + 1 ops for the
+    center, then 1 + 2 per spoke."""
+    root = rec.roots[0]
+    if rec.shared:
+        row, deg, node = root._descend([], rng, 1, root.root, True)
+        c = row[0]
+    else:
+        row, _ = root._descend([], rng, 2)
+        c = row[rec.center]
+        node, deg = rec.spokes[0][0]._walk([c])
+    ops.n += 2   # the center's degree probe, and the first spoke's
+    inv_p = len(root.relation) / deg
+    a[rec.attr] = c
+    for idx, leaf in rec.spokes:
+        if node is None:   # every spoke after the first
+            ops.n += 1
+            node, deg = idx._walk([c])
+            if deg == 0:
+                return 0.0
+        row, mult = idx._descend([c], rng, 2, node)
+        inv_p *= deg / mult
+        a[leaf] = row[1]
+        node = None
+    return inv_p
 
 
 def _star_trial_sste(cplan, comp, rng):
-    """Center by a degree-weighted row draw, then one joint spoke per edge."""
-    rec = comp.rec
-    root = rec.roots[0]
-    row, _ = root._descend([], rng, len(root.order))   # the count is charged, not read
-    a = row[rec.center]
-    bound = {comp.attrs[0]: a}
-    inv_p = len(root.relation) / _degree(cplan.plan, rec.spokes[0], bound)
-    full = dict(bound)
-    for probe in rec.spokes:
-        deg = _degree(cplan.plan, probe, bound)
-        if deg == 0:
-            return 0.0, []
-        idx = probe[0]
-        row, mult = idx._descend([a], rng, len(idx.order))
-        inv_p *= deg / mult
-        full.update(zip(idx.order, row))
-    return inv_p, [full]
+    """_star_sste on an assignment of its own: (1/P, [assignment]), or
+    (0.0, []) when a spoke has no row."""
+    a = {}
+    w = _star_sste(cplan.db.ops, comp.rec, a, rng)
+    return (w, [a]) if w else (0.0, [])
 
 
 def sste_trial(cplan: ComponentPlan, rng) -> float:
-    """One unbiased estimate of the distinct answer count."""
+    """One unbiased estimate of the distinct answer count: one pass over
+    the components' records, each binding its draws into one assignment,
+    on which the cross edges are probed (fallback regime)."""
     if cplan.empty:
         return 0.0
+    ops = cplan.db.ops
+    canonical = not cplan.fallback
+    a = {}
     z = 1.0
-    assignment = {}
     for comp in cplan.components:
         if comp.kind == "cycle":
-            w, kept = _cycle_trial_sste(cplan, comp, rng,
-                                        canonical=not cplan.fallback)
+            w = _cycle_sste(cplan, comp, a, rng, canonical)
         else:
-            w, kept = _star_trial_sste(cplan, comp, rng)
+            w = _star_sste(ops, comp.rec, a, rng)
         if w == 0.0:
             return 0.0
         z *= w
-        if cplan.fallback:
-            assignment.update(kept[0])
-    if cplan.fallback:
-        for probe in cplan._cross:
-            if _degree(cplan.plan, probe, assignment) == 0:
-                return 0.0
+    for idx, prefix in cplan._cross:
+        ops.n += 1
+        if idx._walk([a[x] for x in prefix])[1] == 0:
+            return 0.0
     return z
+
+
+def _check_trials(n) -> None:
+    """Raise unless the trial count n of an estimate is at least 1."""
+    if n < 1:
+        raise ValueError(f"trial count n must be at least 1, got {n}")
 
 
 def sste_estimate(cplan: ComponentPlan, n: int, seed=0) -> float:
     """Mean of n independent trials under the stable seeding rule."""
+    _check_trials(n)
     return seeded_mean(lambda rng: sste_trial(cplan, rng), seed, "sste", 0, n)
 
 
@@ -351,14 +406,12 @@ def variance_bound_sste(cplan: ComponentPlan, out: float) -> float:
     return (2 ** len(cplan.query.attributes)) * cplan.plan.agm * out
 
 
-def _cycle_trial_sust(cplan, comp, rng):
-    """One attempt at a canonical representative of the cycle component:
-    after _cycle_start, draw the last vertex w with probability 1/(2 sqrt|R|)
-    for each candidate. The assignment, or None on rejection."""
-    start = _cycle_start(cplan, comp, rng, canonical=True)
-    if start is None:
-        return None
-    a, _ = start
+def _cycle_trial_sust(cplan, comp, rng, a):
+    """One attempt at a canonical representative of the cycle component,
+    bound into a: after _cycle_start, draw the last vertex w with
+    probability 1/(2 sqrt|R|) for each candidate. False on rejection."""
+    if _cycle_start(cplan, comp, rng, True, a) is None:
+        return False
     seq, rec = comp.attrs, comp.rec
     relname = comp.edges[0].relation
     nrel = len(cplan.db.relation(relname))
@@ -368,7 +421,7 @@ def _cycle_trial_sust(cplan, comp, rng):
     if inc0 < thresh:
         view, no = _back_view(cplan, comp, a)
         if no == 0 or rng.random() >= no / thresh:
-            return None
+            return False
         (a[w],) = view.sample(rng)
     else:
         # heavy start: random row, random endpoint, thin to flatten P(c); the
@@ -377,27 +430,26 @@ def _cycle_trial_sust(cplan, comp, rng):
         c = a[w] = row[rng.randrange(2)]
         inc_c = cplan.incidence(relname, c)
         if inc_c < inc0 or rng.random() >= math.sqrt(nrel) / inc_c:
-            return None
+            return False
         if _degree(cplan.plan, rec.heavy, a) == 0:
-            return None
+            return False
     if _degree(cplan.plan, rec.close, a) == 0:
-        return None
-    return a if _canonical_weight(cplan, relname, [a[v] for v in seq])[0] else None
+        return False
+    return _canonical_weight(cplan, relname, [a[v] for v in seq])[0]
 
 
-def _star_trial_sust(cplan, comp, rng):
-    # one independent row per edge; succeed when the centers agree
+def _star_trial_sust(comp, rng, a):
+    """One independent row per edge bound into a; True when the centers
+    agree."""
     center = comp.attrs[0]
-    full = {}
-    got_center = None
+    got = None
     for idx in comp.rec.roots:
-        frag, _ = _draw_row(idx, rng)
-        if got_center is None:
-            got_center = frag[center]
-        elif frag[center] != got_center:
-            return None
-        full.update(frag)
-    return full
+        _draw_row(idx, rng, a)
+        if got is None:
+            got = a[center]
+        elif a[center] != got:
+            return False
+    return True
 
 
 def sust_sample(cplan: ComponentPlan, rng):
@@ -406,7 +458,8 @@ def sust_sample(cplan: ComponentPlan, rng):
     Star components are uniform over their answers; cycle components are
     uniform over canonical class representatives (every representative has
     probability |R|^{-(L-1)/2} / (2 sqrt(|R|)) exactly). Requires the
-    support-only regime and duplicate-free relations.
+    support-only regime and duplicate-free relations. Every component binds
+    its draws into the one assignment returned.
     """
     if cplan.empty:
         return None
@@ -417,12 +470,11 @@ def sust_sample(cplan: ComponentPlan, rng):
     out = {}
     for comp in cplan.components:
         if comp.kind == "cycle":
-            got = _cycle_trial_sust(cplan, comp, rng)
+            got = _cycle_trial_sust(cplan, comp, rng, out)
         else:
-            got = _star_trial_sust(cplan, comp, rng)
-        if got is None:
+            got = _star_trial_sust(comp, rng, out)
+        if not got:
             return None
-        out.update(got)
     return out
 
 
@@ -443,4 +495,6 @@ def sust_trial(cplan: ComponentPlan, rng) -> float:
 
 
 def sust_estimate(cplan: ComponentPlan, n: int, seed=0) -> float:
+    """Mean of n independent sust_trial scores under the stable seeding rule."""
+    _check_trials(n)
     return seeded_mean(lambda rng: sust_trial(cplan, rng), seed, "sust", 0, n)

@@ -120,7 +120,7 @@ def exact_uniform_sample(widx: WeightIndex, rng: random.Random) -> dict:
         raise EmptySemijoinError("join is empty")
     tree, query = widx.tree, widx.query
     x = rng.randrange(widx.total)
-    widx.db.ops.add(1)
+    widx.db.ops.n += 1
     i = bisect.bisect_right(widx.root_cum, x) - 1
     chosen = {tree.root: widx.root_rows[i]}
     assignment = dict(zip(query.edges[tree.root].attrs, chosen[tree.root]))
@@ -132,7 +132,7 @@ def exact_uniform_sample(widx: WeightIndex, rng: random.Random) -> dict:
             pos, table = widx.links[c]
             rows, cum = table[tuple(chosen[p][i] for i in pos)]
             x = rng.randrange(cum[-1])
-            widx.db.ops.add(1)
+            widx.db.ops.n += 1
             j = bisect.bisect_right(cum, x) - 1
             row = rows[j]
             chosen[c] = row

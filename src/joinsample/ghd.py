@@ -354,7 +354,7 @@ def _exact_table(db, query, bag, G, edge) -> dict:
     for row in rows:
         key = tuple(row[i] for i in idxs)
         table[key] = table.get(key, 0.0) + 1.0
-    db.ops.add(len(rel))
+    db.ops.n += len(rel)
     return table
 
 

@@ -256,7 +256,7 @@ class TrieIndex:
         """Uniform row of R ⋉ s (multiplicity-weighted); tuple in index order."""
         return self._descend([s[a] for a in self._prefix_attrs(s)], rng)[0]
 
-    def _descend(self, out, rng: random.Random, depth=None):
+    def _descend(self, out, rng: random.Random, depth=None, start=None, hold=False):
         """sample_row once its binding is checked: (a uniform row under the
         bound prefix values `out`, a list it extends in place; a count). The
         one row descent; callers that resolved the prefix themselves call it
@@ -267,28 +267,45 @@ class TrieIndex:
         which the descent passes on its way down, so it stands for a degree
         probe of that prefix and charges the probe's op too: two in all.
 
+        start: the node under `out` when the caller already holds it (a
+        walk of its own, or a descent's hold), with rows under it; the
+        descent then walks nothing and charges the same. hold (with a
+        depth): return (row, count, node at depth) as well, so that a later
+        descent under the row's first `depth` values starts there.
+
         Each level draws with rng._randbelow(n), resolved once per descent:
         it is what rng.randrange(n) calls for n > 0 on Python 3.10 to 3.13,
         and every node under a present prefix holds n > 0 rows."""
-        self._charge()
-        node, count = self._walk(out)
-        if count == 0:
-            raise EmptySemijoinError(
-                f"empty semijoin under {dict(zip(self.order, out))}")
+        counter = self._counter
+        if counter is not None:
+            counter.n += 1
+        if start is None:
+            node, count = self._walk(out)
+            if count == 0:
+                raise EmptySemijoinError(
+                    f"empty semijoin under {dict(zip(self.order, out))}")
+        else:
+            node = start
+            count = node.cum[-1]
         below = rng._randbelow
         if depth is not None:
-            self._charge()
+            if counter is not None:
+                counter.n += 1
             for _ in range(depth - len(out)):
                 cum = node.cum
                 i = bisect.bisect_right(cum, below(cum[-1])) - 1
                 out.append(node.keys[i])
                 count = cum[i + 1] - cum[i]
                 node = node.children[i]
+            if hold:
+                held = node
         while node is not None:
             cum = node.cum
             i = bisect.bisect_right(cum, below(cum[-1])) - 1
             out.append(node.keys[i])
             node = node.children[i]
+        if hold:
+            return tuple(out), count, held
         return tuple(out), count
 
     def project(self, attrs, s):
@@ -436,7 +453,7 @@ class Database:
                 rows = self._rows[src] = _sorted_rows(rel.tuples, src[1], rel.arity,
                                                       distinct=True)
             self._derived[key] = Relation(key, inter, rows, rel.interner)
-            self.ops.add(len(rel))
+            self.ops.n += len(rel)
         return key
 
     def index(self, name, order, attrs=None) -> TrieIndex:

@@ -192,6 +192,20 @@ def test_ghd_with_an_empty_or_foreign_bag_is_rejected(tmp_path, capsys, bags):
         assert f"supplied ghd rejected: bag 1 {sorted(bags[1])}" in err
 
 
+@pytest.mark.parametrize("argv", [[], ["--estimate"]])
+def test_ghd_with_a_bag_that_repeats_an_attribute_is_rejected(tmp_path, capsys, argv):
+    raw = {"R": (("A", "B"), [(1, 2)]), "S": (("B", "C"), [(2, 3), (2, 6)])}
+    qdoc = {"attributes": ["A", "B", "C"],
+            "edges": [{"relation": "R", "vars": ["A", "B"]},
+                      {"relation": "S", "vars": ["B", "C"]}],
+            "ghd": {"bags": [["A", "B", "A"], ["B", "C"]], "edges": [[0, 1]]}}
+    dbdir, qpath = _write_inputs(tmp_path, raw, json.dumps(qdoc))
+    assert main(["ghd", dbdir, qpath, *argv]) == 4
+    captured = capsys.readouterr()
+    assert "ghd bag 0 ['A', 'B', 'A'] repeats an attribute" in captured.err
+    assert captured.out == ""
+
+
 def test_ghd_estimate_enforces_an_edge_inside_a_covering_one(tmp_path, capsys):
     raw = {"F": (("A", "B", "C"), [(1, 1, 1), (1, 2, 1), (2, 2, 2)]),
            "E": (("A", "B"), [(1, 1)])}

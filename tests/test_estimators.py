@@ -7,7 +7,7 @@ from joinsample import (
     AlleyPlus, ComponentPlan, DRS, GJSample, Plan, QueryError, TrieIndex,
     UnsupportedOrderError, WanderJoin, derive_rng, estimate_with_guarantee,
     generic_card_est, generic_join, make_strategy, per_answer_probability,
-    sste_trial, uniform_sample, variance_bound,
+    sste_estimate, sste_trial, sust_estimate, uniform_sample, variance_bound,
 )
 
 
@@ -176,6 +176,30 @@ def test_success_count_rejects_a_target_below_one():
         for c in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 estimate_with_guarantee(p, DRS(), 0.3, 0.1, mode="success-count", c=c)
+
+
+def _component_plans():
+    """sym-tri's component plan and empty-tri's, which has no components."""
+    plans = []
+    for name in ("sym-tri", "empty-tri"):
+        db, query, _ = build(name)
+        plans.append(ComponentPlan(db, query.hypergraph))
+    assert [cp.empty for cp in plans] == [False, True]
+    return plans
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sste_estimate_rejects_fewer_than_one_trial(n):
+    for cp in _component_plans():
+        with pytest.raises(ValueError, match="at least 1"):
+            sste_estimate(cp, n, seed=1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sust_estimate_rejects_fewer_than_one_trial(n):
+    for cp in _component_plans():
+        with pytest.raises(ValueError, match="at least 1"):
+            sust_estimate(cp, n, seed=1)
 
 
 def test_geometric_driver_reports_stages():
